@@ -1,8 +1,10 @@
 #include "db/workload.hpp"
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
+#include "concurrency/backoff.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/stopwatch.hpp"
@@ -11,6 +13,18 @@ namespace pdc::db {
 
 namespace {
 std::string key_name(std::size_t k) { return "k" + std::to_string(k); }
+
+// A victim restarts as a fresh transaction, younger than the one that
+// won, so it loses again if it re-enters that deadlock; retrying at once
+// can do so before the winner has finished. Backing off — a few yields,
+// then short sleeps — lets the winner run first.
+void back_off(concurrency::Backoff& backoff) {
+  if (backoff.park_ready()) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  } else {
+    backoff.step();
+  }
+}
 }  // namespace
 
 WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config) {
@@ -18,6 +32,7 @@ WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config) {
   WorkloadResult result;
   std::atomic<std::uint64_t> committed{0};
   std::atomic<std::uint64_t> deadlock_aborts{0};
+  std::atomic<std::uint64_t> gave_up{0};
   support::Stopwatch clock;
 
   std::vector<std::thread> clients;
@@ -36,7 +51,10 @@ WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config) {
           op.write = rng.bernoulli(config.write_fraction);
           op.key = zipf(rng);
         }
-        for (std::size_t attempt = 0; attempt < config.max_attempts; ++attempt) {
+        concurrency::Backoff backoff(/*spin_limit=*/0, /*yield_limit=*/4);
+        bool done = false;
+        for (std::size_t attempt = 0; !done && attempt < config.max_attempts;
+             ++attempt) {
           Txn txn = db.begin();
           bool victim = false;
           for (const auto& op : ops) {
@@ -60,10 +78,13 @@ WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config) {
           if (!victim) {
             PDC_CHECK(txn.commit().is_ok());
             ++committed;
-            break;
+            done = true;
+          } else {
+            ++deadlock_aborts;  // txn already rolled back; retry
+            back_off(backoff);
           }
-          ++deadlock_aborts;  // txn already rolled back; retry
         }
+        if (!done) ++gave_up;
       }
     });
   }
@@ -72,6 +93,7 @@ WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config) {
   result.seconds = clock.elapsed_seconds();
   result.committed = committed.load();
   result.deadlock_aborts = deadlock_aborts.load();
+  result.gave_up = gave_up.load();
   return result;
 }
 

@@ -21,7 +21,7 @@ struct WorkloadConfig {
   double zipf_skew = 0.0;           // 0 = uniform; higher = more contention
   std::size_t ops_per_txn = 4;
   double write_fraction = 0.5;
-  std::size_t max_attempts = 64;    // retries after deadlock aborts
+  std::size_t max_attempts = 64;    // attempts per transaction
   std::uint64_t seed = 42;
   /// Yield the OS scheduler between operations: forces real interleaving
   /// on few-core hosts so lock contention and deadlocks actually manifest.
@@ -31,6 +31,7 @@ struct WorkloadConfig {
 struct WorkloadResult {
   std::uint64_t committed = 0;
   std::uint64_t deadlock_aborts = 0;  // total victim events (before retry)
+  std::uint64_t gave_up = 0;          // dropped after max_attempts aborts
   double seconds = 0.0;
 
   [[nodiscard]] double throughput() const {
@@ -45,7 +46,8 @@ struct WorkloadResult {
 };
 
 /// Runs the workload against `db` with strict-2PL transactions; deadlock
-/// victims retry (fresh transaction) up to max_attempts.
+/// victims back off and retry (fresh transaction) up to max_attempts, then
+/// count as gave_up.
 WorkloadResult run_2pl_workload(Database& db, const WorkloadConfig& config);
 
 /// Generates the same shape of workload as one interleaved Schedule for

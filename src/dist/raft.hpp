@@ -79,11 +79,11 @@ class Reader {
  public:
   explicit Reader(const std::vector<std::uint8_t>& buf) : buf_(buf) {}
   std::uint8_t u8() {
-    PDC_CHECK_MSG(pos_ < buf_.size(), "truncated raft message");
+    need(1);
     return buf_[pos_++];
   }
   std::uint64_t u64() {
-    PDC_CHECK_MSG(pos_ + 8 <= buf_.size(), "truncated raft message");
+    need(8);
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i) v |= std::uint64_t{buf_[pos_++]} << (8 * i);
     return v;
@@ -91,7 +91,7 @@ class Reader {
   std::int32_t i32() { return static_cast<std::int32_t>(static_cast<std::uint32_t>(u64())); }
   std::vector<std::uint8_t> bytes() {
     const std::uint64_t n = u64();
-    PDC_CHECK_MSG(pos_ + n <= buf_.size(), "truncated raft message");
+    need(n);
     std::vector<std::uint8_t> v(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
                                 buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
@@ -99,7 +99,7 @@ class Reader {
   }
   std::string str() {
     const std::uint64_t n = u64();
-    PDC_CHECK_MSG(pos_ + n <= buf_.size(), "truncated raft message");
+    need(n);
     std::string s(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
                   buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
     pos_ += n;
@@ -108,6 +108,12 @@ class Reader {
   [[nodiscard]] bool done() const { return pos_ == buf_.size(); }
 
  private:
+  /// Checks that `n` more bytes remain. Compares against the remainder —
+  /// `pos_ + n` would wrap on a corrupt length near 2^64 and pass.
+  void need(std::uint64_t n) const {
+    PDC_CHECK_MSG(n <= buf_.size() - pos_, "truncated raft message");
+  }
+
   const std::vector<std::uint8_t>& buf_;
   std::size_t pos_ = 0;
 };

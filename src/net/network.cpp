@@ -113,14 +113,7 @@ Address StreamSocket::peer() const {
 
 Status StreamSocket::send(const Bytes& data) {
   PDC_CHECK(valid());
-  {
-    std::scoped_lock lock(outbound().mutex);
-    if (outbound().closed) {
-      return {StatusCode::kClosed, "connection closed"};
-    }
-  }
-  net_->send_stream_bytes(state_, is_a_, data);
-  return Status::ok();
+  return net_->send_stream(state_, is_a_, data, /*fin=*/false);
 }
 
 support::Result<Bytes> StreamSocket::recv(std::size_t max_bytes) {
@@ -201,19 +194,29 @@ void StreamSocket::unwatch() {
 
 void StreamSocket::close() {
   if (!valid()) return;
-  net_->close_stream_half(state_, is_a_);
+  net_->send_stream(state_, is_a_, {}, /*fin=*/true);
 }
 
 void StreamSocket::abort() {
   if (!valid()) return;
-  for (Half* half : {&state_->a_to_b, &state_->b_to_a}) {
-    {
-      std::scoped_lock lock(half->mutex);
-      half->closed = true;
-      signal_watch(half->watch);
+  state_->a_to_b.deliver({}, /*fin=*/true);
+  state_->b_to_a.deliver({}, /*fin=*/true);
+}
+
+bool StreamSocket::Half::deliver(const Bytes& data, bool fin) {
+  {
+    std::scoped_lock lock(mutex);
+    if (fin) {
+      closed = true;
+    } else if (closed) {
+      return false;
+    } else {
+      buffer.insert(buffer.end(), data.begin(), data.end());
     }
-    half->arrived.notify_all();
+    signal_watch(watch);
   }
+  arrived.notify_all();
+  return true;
 }
 
 // ------------------------------------------------------------------ Listener
@@ -285,7 +288,9 @@ void Listener::deliver(StreamSocket socket) {
 // ------------------------------------------------------------------- Network
 
 Network::Network(int hosts, NetConfig config)
-    : hosts_(hosts), config_(config), rng_(config.seed),
+    : hosts_(hosts), config_(config),
+      direct_streams_(config.latency_ms == 0.0 && !config.impair_streams),
+      rng_(config.seed),
       dispatcher_([this] { dispatcher_loop(); }) {
   PDC_CHECK(hosts >= 1);
   PDC_CHECK(config.loss >= 0.0 && config.loss < 1.0);
@@ -500,8 +505,8 @@ void Network::send_datagram(const Address& from, const Address& to,
       [this, from, to, trace, payload = std::move(payload)]() mutable {
         // Deliver while holding the net mutex so the socket cannot be
         // destroyed (its destructor unbinds under the same mutex). The
-        // socket's own mutex nests inside the net mutex — the one global
-        // lock order in this module.
+        // socket's own mutex nests inside the net mutex — the datagram
+        // lock order (streams never take the net mutex to deliver).
         std::scoped_lock lock(mutex_);
         auto it = datagram_sockets_.find(to);
         if (it == datagram_sockets_.end()) return;  // no receiver: dropped
@@ -515,7 +520,7 @@ double Network::stream_impairment_ms() {
   if (injector_) {
     // Reliability is a service: a chunk the injector would drop or reorder
     // is "retransmitted" instead — it arrives late by reorder_ms, never out
-    // of order (the due-time clamp in send_stream_bytes). Totals stay
+    // of order (the due-time clamp in send_stream). Totals stay
     // deterministic across thread interleavings because every consultation
     // draws the same number of values from the seeded stream.
     const testkit::FaultDecision decision = injector_->next();
@@ -529,54 +534,37 @@ double Network::stream_impairment_ms() {
   return 0.0;
 }
 
-void Network::send_stream_bytes(
+Status Network::send_stream(
     const std::shared_ptr<StreamSocket::ConnState>& state, bool from_a,
-    Bytes data) {
+    const Bytes& data, bool fin) {
+  StreamSocket::Half& half = state->from(from_a);
+  if (direct_streams_) {
+    // Nothing to wait for: deliver on the sender's thread, with the closed
+    // check under the same lock as the append.
+    if (half.deliver(data, fin)) return Status::ok();
+    return {StatusCode::kClosed, "connection closed"};
+  }
+  if (!fin) {
+    std::scoped_lock lock(half.mutex);
+    if (half.closed) return {StatusCode::kClosed, "connection closed"};
+  }
   {
     std::scoped_lock lock(mutex_);
-    const double extra_ms = stream_impairment_ms();
+    // The FIN rides the plain latency; only data draws an impairment delay.
+    const double extra_ms = fin ? 0.0 : stream_impairment_ms();
     // FIFO clamp: a chunk delayed less than its predecessor would overtake
     // it in the priority queue; pinning each due time at or after the
-    // previous one keeps the byte stream in order under any impairment.
-    double& last_due = from_a ? state->a_to_b_due : state->b_to_a_due;
+    // previous one keeps the byte stream — and the FIN — in order under
+    // any impairment.
     const double due =
-        std::max(now() + (config_.latency_ms + extra_ms) / 1e3, last_due);
-    last_due = due;
-    events_.push(Event{due, next_seq_++, [state, from_a,
-                                          data = std::move(data)] {
-                         auto& half = from_a ? state->a_to_b : state->b_to_a;
-                         {
-                           std::scoped_lock half_lock(half.mutex);
-                           if (half.closed) return;
-                           half.buffer.insert(half.buffer.end(), data.begin(),
-                                              data.end());
-                           signal_watch(half.watch);
-                         }
-                         half.arrived.notify_all();
+        std::max(now() + (config_.latency_ms + extra_ms) / 1e3, half.last_due);
+    half.last_due = due;
+    events_.push(Event{due, next_seq_++, [state, from_a, data, fin] {
+                         state->from(from_a).deliver(data, fin);
                        }});
   }
   wake_.notify_all();
-}
-
-void Network::close_stream_half(
-    const std::shared_ptr<StreamSocket::ConnState>& state, bool from_a) {
-  {
-    std::scoped_lock lock(mutex_);
-    // Same clamp as data: the FIN must not overtake bytes still in flight.
-    double& last_due = from_a ? state->a_to_b_due : state->b_to_a_due;
-    const double due = std::max(now() + config_.latency_ms / 1e3, last_due);
-    last_due = due;
-    events_.push(Event{due, next_seq_++, [state, from_a] {
-                         auto& half = from_a ? state->a_to_b : state->b_to_a;
-                         {
-                           std::scoped_lock half_lock(half.mutex);
-                           half.closed = true;
-                           signal_watch(half.watch);
-                         }
-                         half.arrived.notify_all();
-                       }});
-  }
-  wake_.notify_all();
+  return Status::ok();
 }
 
 }  // namespace pdc::net

@@ -16,8 +16,18 @@
 //    still arrives, and per-direction delivery times are clamped monotone
 //    so the byte stream stays in order.
 //
-// A single dispatcher thread delivers packets at their scheduled times, so
+// Delivery. A stream chunk with nothing to wait for — latency_ms == 0 and
+// impair_streams off, both fixed at construction — is delivered on the
+// sending thread: its bytes (or the FIN) are in the peer's buffer before
+// send() (or close()) returns. A single dispatcher thread carries only
+// delayed traffic (stream chunks with latency or impairment, every
+// datagram, the connect SYN) and delivers it at its scheduled time, so
 // latency effects are real wall-clock effects observable in benches.
+// Both paths end in one step, StreamSocket::Half::deliver. Lock order:
+// sender's locks → receiving Half → ReadySet; the last two are leaves (no
+// callback runs under them). An event-driven request therefore takes 3
+// thread hand-offs at 0 ms (client → event loop → pool worker → client)
+// and 5 with delay (the dispatcher sits between each sender and receiver).
 //
 // Readiness (event-driven servers): a StreamSocket or Listener can be
 // *watched* by a ReadySet. Arriving bytes, a peer close, or a pending
@@ -218,8 +228,18 @@ class StreamSocket {
     std::size_t head = 0;
     bool closed = false;
     WatchState watch;
+    // Last scheduled delivery time (guarded by the Network mutex, not this
+    // half's): impairment delays are clamped so bytes — and the FIN —
+    // never overtake earlier bytes.
+    double last_due = 0.0;
 
     [[nodiscard]] std::size_t available() const { return buffer.size() - head; }
+    /// The one stream delivery step: under this half's lock, appends
+    /// `data` — or, with `fin`, marks the direction closed — enqueues the
+    /// watcher's tag, then wakes blocked readers. Runs on the sending
+    /// thread for zero-delay traffic and on the dispatcher for delayed
+    /// traffic. False when data meets a closed direction (it is dropped).
+    bool deliver(const Bytes& data, bool fin);
     /// Reclaims the consumed prefix once it dominates the buffer.
     void compact() {
       if (head == buffer.size()) {
@@ -236,18 +256,16 @@ class StreamSocket {
     Half a_to_b;
     Half b_to_a;
     Address a, b;
-    // Last scheduled delivery time per direction (guarded by the Network
-    // mutex): impairment delays are clamped so bytes — and the FIN — never
-    // overtake earlier bytes.
-    double a_to_b_due = 0.0;
-    double b_to_a_due = 0.0;
+
+    /// The direction that carries bytes sent by side a (or side b).
+    Half& from(bool from_a) { return from_a ? a_to_b : b_to_a; }
   };
 
   StreamSocket(Network* net, std::shared_ptr<ConnState> state, bool is_a)
       : net_(net), state_(std::move(state)), is_a_(is_a) {}
 
-  Half& inbound() const { return is_a_ ? state_->b_to_a : state_->a_to_b; }
-  Half& outbound() const { return is_a_ ? state_->a_to_b : state_->b_to_a; }
+  Half& inbound() const { return state_->from(!is_a_); }
+  Half& outbound() const { return state_->from(is_a_); }
 
   Network* net_ = nullptr;
   std::shared_ptr<ConnState> state_;
@@ -361,15 +379,21 @@ class Network {
   void unbind_datagram(const Address& addr);
   void unbind_listener(const Address& addr);
   void send_datagram(const Address& from, const Address& to, Bytes payload);
-  void send_stream_bytes(const std::shared_ptr<StreamSocket::ConnState>& state,
-                         bool from_a, Bytes data);
-  void close_stream_half(const std::shared_ptr<StreamSocket::ConnState>& state,
-                         bool from_a);
+  /// Carries `data` — or, with `fin`, the FIN — from one side of a stream
+  /// to the other: delivered before returning when streams have no delay,
+  /// otherwise scheduled on the dispatcher. kClosed when the direction is
+  /// already closed.
+  support::Status send_stream(
+      const std::shared_ptr<StreamSocket::ConnState>& state, bool from_a,
+      const Bytes& data, bool fin);
   /// Extra stream delay (ms) from the impairment model; caller holds mutex_.
   double stream_impairment_ms();
 
   int hosts_;
   NetConfig config_;
+  // Stream chunks carry no delay (latency 0, streams unimpaired), so
+  // send_stream delivers them on the sending thread.
+  const bool direct_streams_;
   // Per-host labeled send counters (pdc.net.host_sent{host="<i>"}),
   // resolved once at construction; empty under PDCKIT_OBS_NOOP.
   std::vector<obs::Counter*> host_sent_;

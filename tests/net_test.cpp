@@ -5,7 +5,10 @@
 
 #include <atomic>
 #include <future>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "net/arq.hpp"
 #include "net/checksum.hpp"
@@ -20,10 +23,21 @@ using namespace pdc::net;
 using namespace std::chrono_literals;
 using pdc::support::StatusCode;
 
-NetConfig fast_net() {
+NetConfig net_at(double latency_ms) {
   NetConfig config;
-  config.latency_ms = 0.01;
+  config.latency_ms = latency_ms;
   return config;
+}
+
+NetConfig fast_net() { return net_at(0.01); }
+
+// The fabric's two stream delivery paths: at 0 ms the sender's thread
+// delivers, with any latency the dispatcher does. Suites that touch the
+// readiness plane or the servers run on both.
+const auto kBothDelays = ::testing::Values(0.0, 0.01);
+
+std::string delay_name(double latency_ms) {
+  return latency_ms == 0.0 ? "zero_delay" : "delayed";
 }
 
 Bytes make_data(std::size_t n, std::uint64_t seed = 1) {
@@ -442,8 +456,10 @@ TEST(Arq, SenderGivesUpWithoutReceiver) {
 
 // ---------------------------------------------------------------- readiness
 
-TEST(ReadySet, WatchSignalsOnceUntilRearm) {
-  Network net(2, fast_net());
+class ReadySetAtDelay : public ::testing::TestWithParam<double> {};
+
+TEST_P(ReadySetAtDelay, WatchSignalsOnceUntilRearm) {
+  Network net(2, net_at(GetParam()));
   auto listener = net.listen(0, 80);
   auto client = net.connect(1, Address{0, 80});
   ASSERT_TRUE(client.is_ok());
@@ -486,8 +502,8 @@ TEST(ReadySet, WatchSignalsOnceUntilRearm) {
   server.unwatch();
 }
 
-TEST(ReadySet, RearmResignalsWhenDataIsStillPending) {
-  Network net(2, fast_net());
+TEST_P(ReadySetAtDelay, RearmResignalsWhenDataIsStillPending) {
+  Network net(2, net_at(GetParam()));
   auto listener = net.listen(0, 80);
   auto client = net.connect(1, Address{0, 80});
   ASSERT_TRUE(client.is_ok());
@@ -507,6 +523,48 @@ TEST(ReadySet, RearmResignalsWhenDataIsStillPending) {
   tags.clear();
   ASSERT_EQ(ready.poll(tags, 1000ms), 1u);
   EXPECT_EQ(tags[0], 7u);
+  server.unwatch();
+}
+
+INSTANTIATE_TEST_SUITE_P(Delays, ReadySetAtDelay, kBothDelays,
+                         [](const auto& info) { return delay_name(info.param); });
+
+TEST(Stream, ZeroDelayBytesVisibleWhenSendReturns) {
+  // At 0 ms nothing is queued: when send() returns the bytes are in the
+  // peer's buffer and a watching ReadySet already holds the tag; when
+  // close() returns the peer sees the FIN behind the data.
+  Network net(2, net_at(0.0));
+  auto listener = net.listen(1, 80);
+  auto client = net.connect(0, Address{1, 80});
+  ASSERT_TRUE(client.is_ok());
+  StreamSocket server = std::move(listener->accept()).value();
+  ReadySet ready;
+  server.watch(&ready, 3);
+
+  std::vector<std::uint64_t> tags;
+  Bytes got;
+  for (int i = 0; i < 200; ++i) {
+    const Bytes chunk = make_data(1 + i % 64, static_cast<std::uint64_t>(i));
+    ASSERT_TRUE(client.value().send(chunk).is_ok());
+    // Read first, with no system call in between: a dispatcher hop would
+    // not have delivered yet.
+    got.clear();
+    const auto drained = server.try_recv_into(got);
+    ASSERT_EQ(got, chunk) << "send " << i;
+    EXPECT_FALSE(drained.closed);
+    tags.clear();
+    ASSERT_EQ(ready.poll(tags, 0ms), 1u) << "send " << i;
+    EXPECT_EQ(tags[0], 3u);
+    server.rearm();
+  }
+
+  ASSERT_TRUE(client.value().send(to_bytes("last")).is_ok());
+  client.value().close();
+  got.clear();
+  const auto drained = server.try_recv_into(got);
+  EXPECT_EQ(to_string(got), "last");
+  EXPECT_TRUE(drained.closed);
+  EXPECT_EQ(client.value().send(to_bytes("late")).code(), StatusCode::kClosed);
   server.unwatch();
 }
 
@@ -615,12 +673,13 @@ TEST(Framing, ScanMessageFlagsCorruption) {
 
 // ------------------------------------------------------------ client-server
 
-class ServerModelTest : public ::testing::TestWithParam<ThreadingModel> {};
+class ServerModelTest
+    : public ::testing::TestWithParam<std::tuple<ThreadingModel, double>> {};
 
 TEST_P(ServerModelTest, EchoServesConcurrentClients) {
-  Network net(4, fast_net());
+  Network net(4, net_at(std::get<1>(GetParam())));
   ServerConfig config;
-  config.model = GetParam();
+  config.model = std::get<0>(GetParam());
   config.workers = 3;
   Server server(net, 0, 80,
                 [](const Bytes& request) { return request; }, config);
@@ -647,21 +706,24 @@ TEST_P(ServerModelTest, EchoServesConcurrentClients) {
   server.stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(Models, ServerModelTest,
-                         ::testing::Values(ThreadingModel::kThreadPerConnection,
-                                           ThreadingModel::kWorkerPool,
-                                           ThreadingModel::kEventDriven),
-                         [](const auto& info) -> std::string {
-                           switch (info.param) {
-                             case ThreadingModel::kThreadPerConnection:
-                               return "thread_per_conn";
-                             case ThreadingModel::kWorkerPool:
-                               return "worker_pool";
-                             case ThreadingModel::kEventDriven:
-                               return "event_driven";
-                           }
-                           return "unknown";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Models, ServerModelTest,
+    ::testing::Combine(::testing::Values(ThreadingModel::kThreadPerConnection,
+                                         ThreadingModel::kWorkerPool,
+                                         ThreadingModel::kEventDriven),
+                       kBothDelays),
+    [](const auto& info) -> std::string {
+      const std::string delay = "_" + delay_name(std::get<1>(info.param));
+      switch (std::get<0>(info.param)) {
+        case ThreadingModel::kThreadPerConnection:
+          return "thread_per_conn" + delay;
+        case ThreadingModel::kWorkerPool:
+          return "worker_pool" + delay;
+        case ThreadingModel::kEventDriven:
+          return "event_driven" + delay;
+      }
+      return "unknown" + delay;
+    });
 
 TEST(Server, WorkerPoolStopDrainsQueuedConnections) {
   Network net(6, fast_net());

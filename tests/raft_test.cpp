@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/raft.hpp"
@@ -676,6 +677,31 @@ TEST(RaftLinearizability, KvSweepUnderMessageFaultsStaysLinearizable) {
     return plan;
   });
   EXPECT_FALSE(result.failure_found) << result.describe();
+}
+
+// ------------------------------------------------------ wire codec bounds
+
+TEST(WireDeathTest, CorruptLengthFailsTheTruncationCheck) {
+  // An 8-byte header, then a length of 2^64 - 4: with the check written as
+  // `pos + n <= size` the sum wraps to 12 and passes, and the process dies
+  // later in the string or vector constructor. A node decodes on its own
+  // thread, where an escaping exception ends the process — so the death
+  // must name the truncation check.
+  dist::wire::Writer w;
+  w.u64(7);
+  w.u64(~std::uint64_t{0} - 3);
+  const std::vector<std::uint8_t> message = w.take();
+  const auto decode_on_thread = [&message](auto read_field) {
+    std::thread([&] {
+      dist::wire::Reader r(message);
+      (void)r.u64();
+      read_field(r);
+    }).join();
+  };
+  EXPECT_DEATH(decode_on_thread([](auto& r) { (void)r.str(); }),
+               "truncated raft message");
+  EXPECT_DEATH(decode_on_thread([](auto& r) { (void)r.bytes(); }),
+               "truncated raft message");
 }
 
 }  // namespace
