@@ -130,7 +130,9 @@ class Communicator {
     check_peer(dest);
     PDC_CHECK_MSG(tag >= 0, "negative tags are reserved for wildcards");
     Payload payload(count * sizeof(T));
-    std::memcpy(payload.data(), data, payload.size());
+    // memcpy needs valid pointers even for zero bytes; an empty vector's
+    // data() may be null.
+    if (!payload.empty()) std::memcpy(payload.data(), data, payload.size());
     deliver(dest, user_context_, tag, std::move(payload));
   }
 
@@ -167,7 +169,10 @@ class Communicator {
     Message message = mailbox().match(user_context_, source, tag);
     PDC_CHECK(message.payload.size() % sizeof(T) == 0);
     std::vector<T> values(message.payload.size() / sizeof(T));
-    std::memcpy(values.data(), message.payload.data(), message.payload.size());
+    if (!values.empty()) {
+      std::memcpy(values.data(), message.payload.data(),
+                  message.payload.size());
+    }
     PDC_OBS_COUNT("pdc.mp.received");
     if (rank_received_ != nullptr) rank_received_->inc();
     obs::wire_accept(message.envelope.trace, "mp.recv",
@@ -534,7 +539,7 @@ class Communicator {
   template <typename T>
   void coll_send(const T* data, std::size_t count, int dest, int tag) {
     Payload payload(count * sizeof(T));
-    std::memcpy(payload.data(), data, payload.size());
+    if (!payload.empty()) std::memcpy(payload.data(), data, payload.size());
     deliver(dest, user_context_ + 1, tag, std::move(payload));
   }
 
@@ -550,7 +555,9 @@ class Communicator {
                   "payload size not a multiple of the element size");
     PDC_CHECK_MSG(message.payload.size() <= capacity * sizeof(T),
                   "message larger than the receive buffer");
-    std::memcpy(data, message.payload.data(), message.payload.size());
+    if (!message.payload.empty()) {
+      std::memcpy(data, message.payload.data(), message.payload.size());
+    }
     PDC_OBS_COUNT("pdc.mp.received");
     if (rank_received_ != nullptr) rank_received_->inc();
     obs::wire_accept(message.envelope.trace, "mp.recv",

@@ -12,20 +12,6 @@ namespace pdc::obs {
 
 namespace {
 
-void append_json_string(std::string& out, const std::string& text) {
-  out += '"';
-  for (char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += ch;
-    }
-  }
-  out += '"';
-}
-
 std::string roundtrip_double(double value) {
   // Shortest round-trippable form keeps the JSON diff-friendly.
   char buffer[64];

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -53,16 +55,26 @@ void insert_or_merge(KeyedSamples& bucket, MetricKey key,
   }
 }
 
-constexpr const char kProfilingDisabledJson[] =
-    "{\"error\":\"profiling disabled (PDCKIT_OBS_NOOP)\"}\n";
+// The label federated series and profile stacks are stamped with.
+constexpr std::string_view kSourceLabel = "rank";
 
-// Matches the TelemetryServer body for the whole /trace family under NOOP.
-constexpr const char kTracingDisabledJson[] =
-    "{\"error\":\"tracing disabled (PDCKIT_OBS_NOOP)\"}\n";
-
-// Matches the TelemetryServer body for the time-series family under NOOP.
-constexpr const char kTimeseriesDisabledJson[] =
-    "{\"error\":\"time series disabled (PDCKIT_OBS_NOOP)\"}\n";
+/// Flattens per-source rows in target order, stamping the source on rows
+/// that carry none (insert-if-absent: a lower aggregator tier's
+/// attribution survives), then sorts with `less` so the list is
+/// byte-stable however the fetches completed.
+template <typename Row, typename Less>
+std::vector<Row> stamp_and_sort(
+    std::vector<std::pair<std::string, std::vector<Row>>> fetched, Less less) {
+  std::vector<Row> merged;
+  for (auto& [source, rows] : fetched) {
+    for (Row& row : rows) {
+      if (row.source.empty()) row.source = source;
+      merged.push_back(std::move(row));
+    }
+  }
+  std::sort(merged.begin(), merged.end(), less);
+  return merged;
+}
 
 /// The Aggregator /alerts body: federated rows grouped by rule (input is
 /// (rule, source)-sorted), each group summarized worst-state-wins with
@@ -101,27 +113,9 @@ std::string alerts_rollup_json(const std::vector<AlertWireRow>& rows) {
   return out;
 }
 
-/// Firing-rule count of a federated row set (worst-state-wins per rule).
-std::size_t firing_rules(const std::vector<AlertWireRow>& rows) {
-  std::size_t firing = 0;
-  std::size_t i = 0;
-  while (i < rows.size()) {
-    bool any = false;
-    std::size_t j = i;
-    while (j < rows.size() && rows[j].rule == rows[i].rule) {
-      any = any || rows[j].state == AlertState::kFiring;
-      ++j;
-    }
-    if (any) ++firing;
-    i = j;
-  }
-  return firing;
-}
-
 }  // namespace
 
-MetricsSnapshot merge_federated(const std::vector<SourceSnapshot>& sources,
-                                std::string_view source_label) {
+MetricsSnapshot merge_federated(const std::vector<SourceSnapshot>& sources) {
   // One sorted map per kind keeps the output in the snapshot's canonical
   // order (kind group, then base, then labels) — byte-stable however the
   // scrapes arrived.
@@ -131,7 +125,7 @@ MetricsSnapshot merge_federated(const std::vector<SourceSnapshot>& sources,
       auto& bucket = merged[static_cast<std::size_t>(s.kind)];
 
       MetricKey stamped{s.base, s.labels};
-      stamped.add_label_if_absent(source_label, source);
+      stamped.add_label_if_absent(kSourceLabel, source);
       const bool newly_stamped = stamped.labels.size() != s.labels.size();
 
       MetricSample per_source = s;
@@ -163,8 +157,7 @@ Aggregator::Aggregator(net::Network& net, int host, std::uint16_t port,
     : net_(net),
       host_(host),
       targets_(std::move(targets)),
-      config_(std::move(config)),
-      pool_(config_.scrape_threads) {
+      pool_(3) {  // one in-flight fetch per runner
   // Eager self-metric registration, same contract as TelemetryServer: the
   // first scrape of the process-wide registry already lists the full set.
   if constexpr (kObsEnabled) {
@@ -176,13 +169,14 @@ Aggregator::Aggregator(net::Network& net, int host, std::uint16_t port,
     registry.gauge("pdc.fed.targets").add(
         static_cast<std::int64_t>(targets_.size()));
   }
+  routes_ = make_routes();
   net::ServerConfig server_config;
-  server_config.model = config_.model;
-  server_config.workers = config_.workers;
+  server_config.model = config.model;
+  server_config.workers = 2;  // worker-pool and event-driven models
   server_ = std::make_unique<net::Server>(
       net_, host_, port,
       [this](const net::Bytes& request) {
-        return net::to_bytes(endpoint_body(net::to_string(request)));
+        return net::to_bytes(serve_route(routes_, net::to_string(request)));
       },
       server_config);
 }
@@ -192,11 +186,6 @@ Aggregator::~Aggregator() { stop(); }
 net::Address Aggregator::address() const { return server_->address(); }
 
 void Aggregator::stop() { server_->stop(); }
-
-std::vector<ScrapeTarget> Aggregator::targets_copy() const {
-  std::scoped_lock lock(targets_mutex_);
-  return targets_;
-}
 
 void Aggregator::add_target(ScrapeTarget target) {
   std::scoped_lock lock(targets_mutex_);
@@ -231,74 +220,63 @@ support::Result<std::string> Aggregator::fetch_text(
   return reply;
 }
 
-support::Result<MetricsSnapshot> Aggregator::scrape_target(
-    const ScrapeTarget& target) {
-  auto reply = fetch_text(target, "/metrics.wire");
-  if (!reply.is_ok()) return reply.status();
-  auto snapshot = MetricsSnapshot::from_wire(reply.value());
-  if (!snapshot) {
-    return support::Status(support::StatusCode::kInvalidArgument,
-                           "malformed /metrics.wire reply from source '" +
-                               target.source + "'");
+template <typename Parse>
+auto Aggregator::fetch_all(const std::string& endpoint, Parse parse) {
+  using T =
+      typename std::invoke_result_t<Parse, const std::string&>::value_type;
+  const std::vector<ScrapeTarget> targets = [this] {
+    std::scoped_lock lock(targets_mutex_);
+    return targets_;
+  }();
+  std::vector<std::optional<T>> slots(targets.size());
+  std::atomic<std::uint64_t> errors{0};
+  parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
+    [[maybe_unused]] const std::uint64_t start = now_us();
+    auto reply = fetch_text(targets[i], endpoint);
+    PDC_OBS_HIST("pdc.fed.scrape_us", now_us() - start);
+    if (reply.is_ok() && reply.value().starts_with("{\"error\"")) return;
+    if (reply.is_ok()) slots[i] = parse(reply.value());
+    if (!slots[i].has_value()) errors.fetch_add(1, std::memory_order_relaxed);
+  });
+  const std::uint64_t failed = errors.load(std::memory_order_relaxed);
+  if (failed != 0) PDC_OBS_COUNT("pdc.fed.scrape_errors", failed);
+  std::vector<std::pair<std::string, T>> fetched;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (slots[i].has_value()) {
+      fetched.emplace_back(targets[i].source, std::move(*slots[i]));
+    }
   }
-  return *std::move(snapshot);
+  return fetched;
 }
 
 MetricsSnapshot Aggregator::federate() {
-  const std::vector<ScrapeTarget> targets = targets_copy();
-  std::vector<std::optional<MetricsSnapshot>> scraped(targets.size());
-  std::atomic<std::uint64_t> errors{0};
-  parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
-    const std::uint64_t start = now_us();
-    auto result = scrape_target(targets[i]);
-    PDC_OBS_HIST("pdc.fed.scrape_us", now_us() - start);
-    if (result.is_ok()) {
-      scraped[i] = std::move(result).value();
-    } else {
-      errors.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  // Sources merge in target-declaration order (index-stable slots), not
-  // completion order — part of the byte-stability contract.
   std::vector<SourceSnapshot> sources;
-  sources.reserve(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (scraped[i].has_value()) {
-      sources.push_back({targets[i].source, std::move(*scraped[i])});
-    }
+  for (auto& [source, snapshot] :
+       fetch_all("/metrics.wire", &MetricsSnapshot::from_wire)) {
+    sources.push_back({std::move(source), std::move(snapshot)});
   }
   const std::uint64_t merge_start = now_us();
-  MetricsSnapshot merged = merge_federated(sources, config_.source_label);
+  MetricsSnapshot merged = merge_federated(sources);
   PDC_OBS_HIST("pdc.fed.merge_us", now_us() - merge_start);
   PDC_OBS_COUNT("pdc.fed.scrapes");
-  const std::uint64_t failed = errors.load(std::memory_order_relaxed);
-  if (failed != 0) PDC_OBS_COUNT("pdc.fed.scrape_errors", failed);
   return merged;
 }
 
 FoldedProfile Aggregator::federate_profiles() {
-  const std::vector<ScrapeTarget> targets = targets_copy();
-  std::vector<std::optional<FoldedProfile>> fetched(targets.size());
-  parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
-    auto reply = fetch_text(targets[i], "/profile/folded");
-    // NOOP ranks answer an error JSON — a single line with no trailing
-    // count, which parse_folded drops, leaving an empty (skipped) profile.
-    if (reply.is_ok() && reply.value().rfind("{\"error\"", 0) != 0) {
-      fetched[i] = parse_folded(reply.value());
-    }
-  });
+  const std::string stamp_prefix = std::string(kSourceLabel) + "=";
   FoldedProfile merged;
-  const std::string stamp_prefix = config_.source_label + "=";
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (!fetched[i].has_value()) continue;
-    for (const auto& [key, count] : *fetched[i]) {
+  for (const auto& [source, folded] :
+       fetch_all("/profile/folded", [](const std::string& body) {
+         return std::optional(parse_folded(body));
+       })) {
+    for (const auto& [key, count] : folded) {
       // Insert-if-absent stamping, same contract as merge_federated: a
-      // stack already rooted at `<source_label>=...` came from a lower
-      // aggregator tier and keeps its original attribution.
-      if (key.rfind(stamp_prefix, 0) == 0) {
+      // stack already rooted at `rank=...` came from a lower aggregator
+      // tier and keeps its original attribution.
+      if (key.starts_with(stamp_prefix)) {
         merged[key] += count;
       } else {
-        merged[stamp_prefix + targets[i].source + ";" + key] += count;
+        merged[stamp_prefix + source + ";" + key] += count;
       }
     }
   }
@@ -306,76 +284,32 @@ FoldedProfile Aggregator::federate_profiles() {
 }
 
 std::vector<TraceSummary> Aggregator::federate_traces(std::size_t n) {
-  const std::vector<ScrapeTarget> targets = targets_copy();
-  std::vector<std::vector<TraceSummary>> fetched(targets.size());
-  parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
-    auto reply = fetch_text(targets[i], "/trace/slowest.wire?n=" +
-                                            std::to_string(n));
-    // NOOP ranks and span-less servers answer an error JSON; skip them
-    // like federate_profiles does.
-    if (!reply.is_ok() || reply.value().rfind("{\"error\"", 0) == 0) return;
-    if (auto traces = parse_traces_wire(reply.value())) {
-      fetched[i] = std::move(*traces);
-    }
-  });
-  std::vector<TraceSummary> merged;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    for (TraceSummary& trace : fetched[i]) {
-      // Insert-if-absent stamping: a trace already attributed by a lower
-      // aggregator tier keeps its original source.
-      if (trace.source.empty()) trace.source = targets[i].source;
-      merged.push_back(std::move(trace));
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const TraceSummary& a, const TraceSummary& b) {
-              if (a.root_us != b.root_us) return a.root_us > b.root_us;
-              if (a.source != b.source) return a.source < b.source;
-              return a.trace_id < b.trace_id;
-            });
+  std::vector<TraceSummary> merged = stamp_and_sort(
+      fetch_all("/trace/slowest.wire?n=" + std::to_string(n),
+                &parse_traces_wire),
+      [](const TraceSummary& a, const TraceSummary& b) {
+        if (a.root_us != b.root_us) return a.root_us > b.root_us;
+        if (a.source != b.source) return a.source < b.source;
+        return a.trace_id < b.trace_id;
+      });
   if (merged.size() > n) merged.resize(n);
   return merged;
 }
 
 std::vector<AlertWireRow> Aggregator::federate_alerts() {
-  const std::vector<ScrapeTarget> targets = targets_copy();
-  std::vector<std::vector<AlertWireRow>> fetched(targets.size());
-  parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
-    auto reply = fetch_text(targets[i], "/alerts.wire");
-    // NOOP ranks and monitor-less servers answer an error JSON; skip them
-    // like federate_traces does.
-    if (!reply.is_ok() || reply.value().rfind("{\"error\"", 0) == 0) return;
-    if (auto rows = parse_alerts_wire(reply.value())) {
-      fetched[i] = std::move(*rows);
-    }
-  });
-  std::vector<AlertWireRow> merged;
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    for (AlertWireRow& row : fetched[i]) {
-      // Insert-if-absent stamping: a row already attributed by a lower
-      // aggregator tier keeps its original source.
-      if (row.source.empty()) row.source = targets[i].source;
-      merged.push_back(std::move(row));
-    }
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const AlertWireRow& a, const AlertWireRow& b) {
-              if (a.rule != b.rule) return a.rule < b.rule;
-              return a.source < b.source;
-            });
-  return merged;
+  return stamp_and_sort(fetch_all("/alerts.wire", &parse_alerts_wire),
+                        [](const AlertWireRow& a, const AlertWireRow& b) {
+                          if (a.rule != b.rule) return a.rule < b.rule;
+                          return a.source < b.source;
+                        });
 }
 
 std::size_t Aggregator::broadcast_control(const std::string& verb) {
-  const std::vector<ScrapeTarget> targets = targets_copy();
-  std::atomic<std::size_t> acked{0};
-  parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
-    auto reply = fetch_text(targets[i], verb);
-    if (reply.is_ok() && reply.value().rfind("error", 0) != 0) {
-      acked.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  return acked.load(std::memory_order_relaxed);
+  return fetch_all(verb, [](const std::string& reply) {
+           return reply.starts_with("error") ? std::nullopt
+                                             : std::optional(true);
+         })
+      .size();
 }
 
 std::string Aggregator::topk_body(const std::string& endpoint) {
@@ -413,124 +347,110 @@ std::string Aggregator::topk_body(const std::string& endpoint) {
     rate_prev_ = std::move(totals);
   }
   entries = top_k_by_value(std::move(entries), static_cast<std::size_t>(n));
-  const char* value_key = by == "value" ? "\"value\":" : "\"rate\":";
-  std::string out = "{\"by\":\"" + by + "\",\"n\":" + std::to_string(n) +
-                    ",\"top\":[";
-  bool first = true;
-  for (const auto& [name, value] : entries) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"series\":";
-    // Canonical names can contain quotes (label blocks) — always escape.
-    append_json_string(out, name);
-    out += ",";
-    out += value_key;
-    out += std::to_string(value) + "}";
-  }
   // Warm-up markers rank after every measured entry (name order), only
   // filling whatever of the top-k is left.
-  for (const auto& name : warming) {
-    if (entries.size() >= n) break;
-    if (!first) out += ",";
-    first = false;
+  const std::size_t measured = entries.size();
+  for (std::size_t i = 0; i < warming.size() && entries.size() < n; ++i) {
+    entries.emplace_back(warming[i], 0);
+  }
+  std::string out = "{\"by\":\"" + by + "\",\"n\":" + std::to_string(n) +
+                    ",\"top\":[";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i != 0) out += ',';
     out += "{\"series\":";
-    append_json_string(out, name);
-    out += ",\"rate\":null}";
-    entries.emplace_back(name, 0);  // count toward the k budget
+    append_json_string(out, entries[i].first);
+    out += ",\"" + by + "\":";
+    out += i < measured ? std::to_string(entries[i].second) : "null";
+    out += '}';
   }
   out += "]}\n";
   return out;
 }
 
-std::string Aggregator::endpoint_body(const std::string& endpoint) {
-  if (endpoint == "/healthz") {
-    // Fleet health = the alert rollup: degraded while any federated rule
-    // is firing somewhere. NOOP builds evaluate no rules and stay ok.
-    const std::size_t firing =
-        kObsEnabled ? firing_rules(federate_alerts()) : 0;
-    return std::string("{\"status\":\"") + (firing > 0 ? "degraded" : "ok") +
-           "\",\"firing\":" + std::to_string(firing) + "}\n";
-  }
-  if (endpoint == "/metrics") return prometheus_exposition(federate());
-  if (endpoint == "/metrics.json" || endpoint == "snapshot-now") {
-    return federate().to_json();
-  }
-  if (endpoint == "/metrics.wire") return federate().to_wire();
-  if (endpoint.rfind("/metrics/topk", 0) == 0) return topk_body(endpoint);
-  if (endpoint == "/profile/folded") {
-    if (!kObsEnabled) return kProfilingDisabledJson;
-    return render_folded(federate_profiles());
-  }
-  if (endpoint.rfind("/profile/contention", 0) == 0) {
-    if (!kObsEnabled) return kProfilingDisabledJson;
-    const std::uint64_t n = endpoint_query_u64(endpoint, "n", 10);
-    return contention_json(contention_topk(
-               federate(), static_cast<std::size_t>(n))) +
-           "\n";
-  }
-  if (endpoint == "/trace/slowest.wire" ||
-      endpoint.rfind("/trace/slowest.wire?", 0) == 0) {
-    if (!kObsEnabled) return kTracingDisabledJson;
-    const std::uint64_t n = endpoint_query_u64(endpoint, "n", 8);
-    return trace_summaries_wire(
-        federate_traces(static_cast<std::size_t>(n)));
-  }
-  if (endpoint == "/trace/slowest" ||
-      endpoint.rfind("/trace/slowest?", 0) == 0) {
-    if (!kObsEnabled) return kTracingDisabledJson;
-    const std::uint64_t n = endpoint_query_u64(endpoint, "n", 8);
-    const std::vector<TraceSummary> traces =
-        federate_traces(static_cast<std::size_t>(n));
-    std::string out = "{\"traces\":[";
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (i != 0) out += ',';
-      out += trace_json(traces[i]);
-    }
-    out += "]}\n";
-    return out;
-  }
-  if (endpoint == "/alerts.wire") {
-    if (!kObsEnabled) return kTimeseriesDisabledJson;
-    return render_alerts_wire(federate_alerts());
-  }
-  if (endpoint == "/alerts") {
-    if (!kObsEnabled) return kTimeseriesDisabledJson;
-    return alerts_rollup_json(federate_alerts());
-  }
-  if (endpoint == "reset") {
-    const std::size_t acked = broadcast_control("reset");
-    const std::size_t total = target_count();
-    if (acked == total) return "ok\n";
-    return "error: reset acked by " + std::to_string(acked) + "/" +
-           std::to_string(total) + " targets\n";
-  }
-  if (endpoint.rfind("add-target", 0) == 0) {
-    std::istringstream in(endpoint);
-    std::string verb, source;
-    int host = 0;
-    std::uint16_t port = 0;
-    in >> verb >> host >> port >> source;
-    if (in.fail() || source.empty()) {
-      return "error: usage add-target <host> <port> <source>\n";
-    }
-    add_target({net::Address{host, port}, source});
-    return "ok\n";
-  }
-  if (endpoint.rfind("remove-target", 0) == 0) {
-    std::istringstream in(endpoint);
-    std::string verb, source;
-    in >> verb >> source;
-    if (source.empty()) return "error: usage remove-target <source>\n";
-    if (!remove_target(source)) {
-      return "error: no target with source '" + source + "'\n";
-    }
-    return "ok\n";
-  }
-  return "error: unknown endpoint '" + endpoint +
-         "' (try /metrics, /metrics.json, /metrics.wire, /metrics/topk, "
-         "/profile/folded, /profile/contention, /trace/slowest?n=K, "
-         "/trace/slowest.wire?n=K, /alerts, /alerts.wire, /healthz, reset, "
-         "snapshot-now, add-target, remove-target)\n";
+std::vector<Route> Aggregator::make_routes() {
+  std::vector<Route> routes = snapshot_routes([this] { return federate(); });
+  routes.insert(routes.end(), {
+      {"/healthz", RouteFamily::kMetrics,
+       [this](const std::string&) {
+         // Fleet health = the alert rollup: degraded while any federated
+         // rule is firing somewhere. NOOP builds evaluate no rules.
+         std::set<std::string> firing;
+         for (const AlertWireRow& row :
+              kObsEnabled ? federate_alerts() : std::vector<AlertWireRow>{}) {
+           if (row.state == AlertState::kFiring) firing.insert(row.rule);
+         }
+         return std::string("{\"status\":\"") +
+                (firing.empty() ? "ok" : "degraded") +
+                "\",\"firing\":" + std::to_string(firing.size()) + "}\n";
+       }},
+      {"/metrics/topk", RouteFamily::kMetrics,
+       [this](const std::string& request) { return topk_body(request); }},
+      {"/profile/folded", RouteFamily::kProfiling,
+       [this](const std::string&) {
+         return render_folded(federate_profiles());
+       }},
+      {"/trace/slowest", RouteFamily::kTracing,
+       [this](const std::string& request) {
+         const std::vector<TraceSummary> traces =
+             federate_traces(endpoint_query_u64(request, "n", 8));
+         std::string out = "{\"traces\":[";
+         for (std::size_t i = 0; i < traces.size(); ++i) {
+           if (i != 0) out += ',';
+           out += trace_json(traces[i]);
+         }
+         return out + "]}\n";
+       }},
+      {"/trace/slowest.wire", RouteFamily::kTracing,
+       [this](const std::string& request) {
+         return trace_summaries_wire(
+             federate_traces(endpoint_query_u64(request, "n", 8)));
+       }},
+      {"/alerts", RouteFamily::kTimeseries,
+       [this](const std::string&) {
+         return alerts_rollup_json(federate_alerts());
+       }},
+      {"/alerts.wire", RouteFamily::kTimeseries,
+       [this](const std::string&) {
+         return render_alerts_wire(federate_alerts());
+       }},
+      // Broadcast to every target.
+      {"reset", RouteFamily::kMetrics,
+       [this](const std::string&) {
+         const std::size_t acked = broadcast_control("reset");
+         const std::size_t total = target_count();
+         if (acked == total) return std::string("ok\n");
+         return "error: reset acked by " + std::to_string(acked) + "/" +
+                std::to_string(total) + " targets\n";
+       }},
+      {"add-target", RouteFamily::kMetrics,
+       [this](const std::string& request) {
+         std::istringstream in(request);
+         std::string verb, source;
+         int host = 0;
+         std::uint16_t port = 0;
+         in >> verb >> host >> port >> source;
+         if (in.fail() || source.empty()) {
+           return std::string(
+               "error: usage add-target <host> <port> <source>\n");
+         }
+         add_target({net::Address{host, port}, source});
+         return std::string("ok\n");
+       }},
+      {"remove-target", RouteFamily::kMetrics,
+       [this](const std::string& request) {
+         std::istringstream in(request);
+         std::string verb, source;
+         in >> verb >> source;
+         if (source.empty()) {
+           return std::string("error: usage remove-target <source>\n");
+         }
+         if (!remove_target(source)) {
+           return "error: no target with source '" + source + "'\n";
+         }
+         return std::string("ok\n");
+       }},
+  });
+  return routes;
 }
 
 }  // namespace pdc::obs

@@ -5,9 +5,9 @@
 // module adds the operator tier:
 //
 //   rank 0  TelemetryServer ──┐
-//   rank 1  TelemetryServer ──┤   Aggregator ── /metrics, /metrics.json,
-//   rank 2  TelemetryServer ──┤   (scrape +      /metrics.wire, /healthz,
-//   rank 3  TelemetryServer ──┘    merge)        reset, snapshot-now
+//   rank 1  TelemetryServer ──┤   Aggregator ── its own route table
+//   rank 2  TelemetryServer ──┤   (scrape +     (Aggregator::make_routes,
+//   rank 3  TelemetryServer ──┘    merge)        served by serve_route)
 //
 // An Aggregator scrapes N TelemetryServer endpoints concurrently (the
 // lock-free ThreadPool via parallel::fan_out — one in-flight scrape per
@@ -19,8 +19,8 @@
 //               because every process shares the same power-of-two bucket
 //               edges (no resolution loss, no rebinning)
 //
-// Every input series reappears stamped with a source label (default
-// `rank="<source>"`), and each input key also feeds an *aggregate* series
+// Every input series reappears stamped with a source label
+// `rank="<source>"`, and each input key also feeds an *aggregate* series
 // under its original labels, so the federated view answers both "what is
 // the fleet-wide p99" and "which rank is the outlier". Stamping is
 // insert-if-absent: a series that already carries the label — e.g. one
@@ -47,6 +47,7 @@
 #include "obs/profile.hpp"
 #include "obs/slo.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/status.hpp"
 
@@ -63,8 +64,7 @@ struct SourceSnapshot {
 /// in the file comment). Exposed separately from Aggregator so merge
 /// algebra is testable without a network.
 [[nodiscard]] MetricsSnapshot merge_federated(
-    const std::vector<SourceSnapshot>& sources,
-    std::string_view source_label = "rank");
+    const std::vector<SourceSnapshot>& sources);
 
 /// One scrape target: a telemetry endpoint plus the source-label value its
 /// series are stamped with.
@@ -74,46 +74,18 @@ struct ScrapeTarget {
 };
 
 struct AggregatorConfig {
-  std::string source_label = "rank";
   net::ThreadingModel model = net::ThreadingModel::kThreadPerConnection;
-  std::size_t workers = 2;         // worker-pool model only
-  std::size_t scrape_threads = 3;  // fan-out pool for concurrent scrapes
 };
 
 /// Scrapes its target set on demand and re-exposes the merged view on its
-/// own telemetry endpoints (/metrics, /metrics.json, /metrics.wire, and
-/// /healthz — {"status":"ok|degraded","firing":N}, degraded when any
-/// federated alert is firing), plus:
-///
-///   /metrics/topk?n=K&by=value|rate   top-K merged counter series as
-///       JSON — by=value ranks totals ("value" field), by=rate ranks
-///       deltas since the previous /metrics/topk?by=rate call
-///       (server-wide cursor). A series the cursor has not seen yet has
-///       no defined rate: it reports an explicit "rate":null warm-up
-///       marker and ranks after every measured entry (never a raw total
-///       masquerading as a rate)
-///   /profile/folded   federated folded profile: each target's
-///       /profile/folded, every stack rank-stamped with a
-///       `<source_label>=<source>` root frame (insert-if-absent, so
-///       aggregator tiers stack) and summed by key
-///   /profile/contention?n=K   top-K contended sites over the *merged*
-///       snapshot — pdc.contend.wait_us{site=} federates like any series
-///   /trace/slowest?n=K        fleet-wide slowest kept traces as JSON:
-///       each target's /trace/slowest.wire list, source-stamped
-///       insert-if-absent, merged by root latency
-///   /trace/slowest.wire?n=K   the same list in wire form, so aggregator
-///       tiers federate traces the way they federate metrics
-///   /alerts           fleet-wide alert rollup: every target's
-///       /alerts.wire rows source-stamped insert-if-absent, grouped by
-///       rule with a worst-state-wins summary (firing > pending >
-///       resolved > inactive) over the per-source rows
-///   /alerts.wire      the same rows in wire form, so aggregator tiers
-///       federate alerts the way they federate metrics
-///   reset             control verb, broadcast to every target
-///   snapshot-now      immediate federated /metrics.json body
-///   add-target <host> <port> <source>   hot-add a scrape target; it
-///       appears in the next federated scrape
-///   remove-target <source>              hot-remove by source value
+/// own route table: the snapshot routes TelemetryServer shares
+/// (snapshot_routes over federate()), plus the federated /healthz,
+/// /metrics/topk, /profile/folded, /trace/slowest{,.wire} and
+/// /alerts{,.wire} views and the reset / add-target / remove-target
+/// control verbs. Every federated family fetches its targets through one
+/// fan-out step (fetch_all): the same concurrency, source stamping
+/// (insert-if-absent, so aggregator tiers stack) and pdc.fed.scrape_*
+/// accounting for metrics, profiles, traces and alerts.
 ///
 /// Self-metrics (pdc.fed.*) go to the process-wide registry, never into
 /// the federated output — unless a target happens to serve that registry.
@@ -134,7 +106,7 @@ class Aggregator {
   [[nodiscard]] MetricsSnapshot federate();
 
   /// Federates the targets' /profile/folded bodies: rank-stamps each
-  /// stack with a `<source_label>=<source>` root frame (unless already
+  /// stack with a `rank=<source>` root frame (unless already
   /// stamped) and sums by key. Targets answering errors (NOOP ranks,
   /// unreachable) are skipped.
   [[nodiscard]] FoldedProfile federate_profiles();
@@ -155,10 +127,6 @@ class Aggregator {
   /// skipped.
   [[nodiscard]] std::vector<AlertWireRow> federate_alerts();
 
-  /// Sends a control verb ("reset", "snapshot-now") to every target
-  /// concurrently; returns how many targets acknowledged.
-  std::size_t broadcast_control(const std::string& verb);
-
   /// Hot add/remove (also reachable as the add-target / remove-target
   /// control verbs): the change is visible to the next federate() round.
   /// remove_target returns false when no target matches `source`.
@@ -169,24 +137,38 @@ class Aggregator {
   /// Stops accepting; existing connections finish their current request.
   void stop();
 
+  /// The endpoints this aggregator answers.
+  [[nodiscard]] const std::vector<Route>& routes() const { return routes_; }
+
  private:
-  [[nodiscard]] std::string endpoint_body(const std::string& endpoint);
+  [[nodiscard]] std::vector<Route> make_routes();
   [[nodiscard]] std::string topk_body(const std::string& endpoint);
   [[nodiscard]] support::Result<std::string> fetch_text(
       const ScrapeTarget& target, const std::string& endpoint);
-  [[nodiscard]] support::Result<MetricsSnapshot> scrape_target(
-      const ScrapeTarget& target);
-  [[nodiscard]] std::vector<ScrapeTarget> targets_copy() const;
+
+  /// The fetch step of every federated family: fetches `endpoint` from a
+  /// copy of the target set concurrently, skips {"error"...} bodies (NOOP
+  /// ranks, nothing attached) and parses the rest with `parse` (which
+  /// returns an optional) into index-stable slots. Returns
+  /// {source, parsed} pairs in target order, never completion order. Each
+  /// fetch is timed into pdc.fed.scrape_us; a target that cannot be
+  /// reached, or whose reply does not parse, counts in
+  /// pdc.fed.scrape_errors.
+  template <typename Parse>
+  auto fetch_all(const std::string& endpoint, Parse parse);
+
+  /// Sends a control verb to every target; returns how many acknowledged.
+  std::size_t broadcast_control(const std::string& verb);
 
   net::Network& net_;
   int host_;
   mutable std::mutex targets_mutex_;
   std::vector<ScrapeTarget> targets_;  // guarded by targets_mutex_
-  AggregatorConfig config_;
   parallel::ThreadPool pool_;
   std::mutex rate_mutex_;
   // Previous /metrics/topk?by=rate counter totals (server-wide cursor).
   std::map<std::string, std::uint64_t> rate_prev_;
+  std::vector<Route> routes_;
   std::unique_ptr<net::Server> server_;  // last member: threads start here
 };
 

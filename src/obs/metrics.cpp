@@ -11,17 +11,71 @@
 namespace pdc::obs {
 
 void append_json_string(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out += '"';
-  for (char ch : text) {
+  for (const char ch : text) {
+    const auto byte = static_cast<unsigned char>(ch);
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
-      default: out += ch;
+      default:
+        if (byte < 0x20) {
+          out += "\\u00";
+          out += kHex[byte >> 4];
+          out += kHex[byte & 0xf];
+        } else {
+          out += ch;
+        }
     }
   }
   out += '"';
+}
+
+bool parse_quoted(std::string_view line, std::size_t& i, std::string& out) {
+  if (i >= line.size() || line[i] != '"') return false;
+  ++i;
+  while (i < line.size()) {
+    const char ch = line[i++];
+    if (ch == '"') return true;
+    if (ch != '\\') {
+      out += ch;
+      continue;
+    }
+    if (i >= line.size()) return false;
+    switch (line[i++]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        // \u00XX: the control bytes append_json_string writes.
+        if (i + 4 > line.size() || line.substr(i, 2) != "00") return false;
+        unsigned byte = 0;
+        const char* hex = line.data() + i + 2;
+        if (std::from_chars(hex, hex + 2, byte, 16).ptr != hex + 2) {
+          return false;
+        }
+        out += static_cast<char>(byte);
+        i += 4;
+        break;
+      }
+      default: return false;
+    }
+  }
+  return false;
+}
+
+void append_label_value(std::string& out, std::string_view value) {
+  for (const char ch : value) {
+    switch (ch) {
+      case '\\': out += "\\\\"; break;
+      case '"': out += "\\\""; break;
+      case '\n': out += "\\n"; break;
+      default: out += ch;
+    }
+  }
 }
 
 std::string MetricKey::canonical() const {
@@ -34,14 +88,7 @@ std::string MetricKey::canonical() const {
     first = false;
     out += k;
     out += "=\"";
-    for (char ch : v) {
-      switch (ch) {
-        case '\\': out += "\\\\"; break;
-        case '"': out += "\\\""; break;
-        case '\n': out += "\\n"; break;
-        default: out += ch;
-      }
-    }
+    append_label_value(out, v);
     out += '"';
   }
   out += '}';
@@ -71,16 +118,10 @@ void MetricKey::add_label_if_absent(std::string_view key,
 std::optional<MetricKey> MetricKey::parse(std::string_view text) {
   MetricKey key;
   const std::size_t brace = text.find('{');
-  if (brace == std::string_view::npos) {
-    key.name = std::string(text);
-    return key;
-  }
   key.name = std::string(text.substr(0, brace));
+  if (brace == std::string_view::npos) return key;
   std::size_t i = brace + 1;
-  if (i < text.size() && text[i] == '}') {
-    if (i + 1 != text.size()) return std::nullopt;
-    return key;
-  }
+  if (text.substr(i) == "}") return key;
   while (i < text.size()) {
     const std::size_t eq = text.find('=', i);
     if (eq == std::string_view::npos || eq == i) return std::nullopt;
@@ -88,44 +129,19 @@ std::optional<MetricKey> MetricKey::parse(std::string_view text) {
     if (label_key.find_first_of(",{}\"") != std::string::npos) {
       return std::nullopt;
     }
-    if (eq + 1 >= text.size() || text[eq + 1] != '"') return std::nullopt;
+    // append_label_value's escapes are a subset of JSON's, so the JSON
+    // string reader decodes values.
     std::string value;
-    std::size_t j = eq + 2;
-    bool closed = false;
-    while (j < text.size()) {
-      const char ch = text[j];
-      if (ch == '\\') {
-        if (j + 1 >= text.size()) return std::nullopt;
-        const char esc = text[j + 1];
-        if (esc == 'n') {
-          value += '\n';
-        } else if (esc == '"' || esc == '\\') {
-          value += esc;
-        } else {
-          return std::nullopt;
-        }
-        j += 2;
-      } else if (ch == '"') {
-        closed = true;
-        ++j;
-        break;
-      } else {
-        value += ch;
-        ++j;
-      }
-    }
-    if (!closed) return std::nullopt;
+    i = eq + 1;
+    if (!parse_quoted(text, i, value)) return std::nullopt;
     key.labels.emplace_back(std::move(label_key), std::move(value));
-    if (j >= text.size()) return std::nullopt;
-    if (text[j] == ',') {
-      i = j + 1;
+    if (i < text.size() && text[i] == ',') {
+      ++i;
       continue;
     }
-    if (text[j] == '}' && j + 1 == text.size()) {
-      key.canonicalize();
-      return key;
-    }
-    return std::nullopt;
+    if (text.substr(i) != "}") return std::nullopt;
+    key.canonicalize();
+    return key;
   }
   return std::nullopt;
 }
@@ -195,19 +211,6 @@ Histogram::Snapshot& Histogram::Snapshot::merge(const Snapshot& other) {
 double MetricSample::quantile(double q) const {
   if (kind != MetricKind::kHistogram) return 0.0;
   return histogram_quantile(buckets.data(), buckets.size(), count, q);
-}
-
-double Histogram::Snapshot::quantile_upper(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target =
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count)));
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-    seen += buckets[b];
-    if (seen >= target) return bucket_upper(b);
-  }
-  return bucket_upper(kHistogramBuckets - 1);
 }
 
 MetricsRegistry& MetricsRegistry::instance() {
@@ -282,37 +285,30 @@ MetricsSnapshot MetricsRegistry::scrape() const {
   MetricsSnapshot out;
   std::scoped_lock lock(mutex_);
   out.samples.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [key, c] : counters_) {
-    MetricSample s;
+  const auto sample = [&out](const MetricKey& key,
+                             MetricKind kind) -> MetricSample& {
+    MetricSample& s = out.samples.emplace_back();
     s.name = key.canonical();
     s.base = key.name;
     s.labels = key.labels;
-    s.kind = MetricKind::kCounter;
-    s.count = c->total();
-    out.samples.push_back(std::move(s));
+    s.kind = kind;
+    return s;
+  };
+  for (const auto& [key, c] : counters_) {
+    sample(key, MetricKind::kCounter).count = c->total();
   }
   for (const auto& [key, g] : gauges_) {
-    MetricSample s;
-    s.name = key.canonical();
-    s.base = key.name;
-    s.labels = key.labels;
-    s.kind = MetricKind::kGauge;
+    MetricSample& s = sample(key, MetricKind::kGauge);
     s.value = g->value();
     s.high_water = g->high_water();
-    out.samples.push_back(std::move(s));
   }
   for (const auto& [key, h] : histograms_) {
     const auto snap = h->snapshot();
-    MetricSample s;
-    s.name = key.canonical();
-    s.base = key.name;
-    s.labels = key.labels;
-    s.kind = MetricKind::kHistogram;
+    MetricSample& s = sample(key, MetricKind::kHistogram);
     s.count = snap.count;
     s.sum = snap.sum;
     s.buckets.assign(snap.buckets.begin(), snap.buckets.end());
     while (!s.buckets.empty() && s.buckets.back() == 0) s.buckets.pop_back();
-    out.samples.push_back(std::move(s));
   }
   return out;
 }
@@ -460,92 +456,40 @@ void MetricsSnapshot::render(std::ostream& os) const {
 
 std::string MetricsSnapshot::to_wire() const {
   std::string out = "pdcwire 1\n";
+  const auto field = [&out](auto value) {
+    out += ' ';
+    out += std::to_string(value);
+  };
+  static constexpr const char* kTag[] = {"c ", "g ", "h "};  // by MetricKind
   for (const auto& s : samples) {
+    out += kTag[static_cast<std::size_t>(s.kind)];
+    append_json_string(out, s.name);
     switch (s.kind) {
       case MetricKind::kCounter:
-        out += "c ";
-        append_json_string(out, s.name);
-        out += ' ';
-        out += std::to_string(s.count);
-        out += '\n';
+        field(s.count);
         break;
       case MetricKind::kGauge:
-        out += "g ";
-        append_json_string(out, s.name);
-        out += ' ';
-        out += std::to_string(s.value);
-        out += ' ';
-        out += std::to_string(s.high_water);
-        out += '\n';
+        field(s.value);
+        field(s.high_water);
         break;
       case MetricKind::kHistogram:
-        out += "h ";
-        append_json_string(out, s.name);
-        out += ' ';
-        out += std::to_string(s.count);
-        out += ' ';
-        out += std::to_string(s.sum);
-        out += ' ';
-        out += std::to_string(s.buckets.size());
-        for (const std::uint64_t b : s.buckets) {
-          out += ' ';
-          out += std::to_string(b);
-        }
-        out += '\n';
+        field(s.count);
+        field(s.sum);
+        field(s.buckets.size());
+        for (const std::uint64_t b : s.buckets) field(b);
         break;
     }
+    out += '\n';
   }
   return out;
 }
-
-namespace {
-
-bool parse_quoted(std::string_view line, std::size_t& i, std::string& out) {
-  if (i >= line.size() || line[i] != '"') return false;
-  ++i;
-  while (i < line.size()) {
-    const char ch = line[i];
-    if (ch == '\\') {
-      if (i + 1 >= line.size()) return false;
-      switch (line[i + 1]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: return false;
-      }
-      i += 2;
-    } else if (ch == '"') {
-      ++i;
-      return true;
-    } else {
-      out += ch;
-      ++i;
-    }
-  }
-  return false;
-}
-
-template <typename Int>
-bool parse_int(std::string_view line, std::size_t& i, Int& out) {
-  if (i >= line.size() || line[i] != ' ') return false;
-  ++i;
-  const auto [ptr, ec] =
-      std::from_chars(line.data() + i, line.data() + line.size(), out);
-  if (ec != std::errc{}) return false;
-  i = static_cast<std::size_t>(ptr - line.data());
-  return true;
-}
-
-}  // namespace
 
 std::optional<MetricsSnapshot> MetricsSnapshot::from_wire(
     std::string_view wire) {
   MetricsSnapshot out;
   bool saw_header = false;
   std::size_t start = 0;
-  while (start <= wire.size()) {
-    if (start == wire.size()) break;
+  while (start < wire.size()) {
     std::size_t end = wire.find('\n', start);
     if (end == std::string_view::npos) end = wire.size();
     const std::string_view line = wire.substr(start, end - start);

@@ -33,6 +33,7 @@
 
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -58,8 +59,8 @@ struct MetricKey {
   std::string name;
   Labels labels;  // sorted by key, keys unique
 
-  /// `name{k="v",...}` with Prometheus label-value escaping (backslash,
-  /// quote, newline); just `name` when unlabeled. Canonical keys are the
+  /// `name{k="v",...}` with values escaped by append_label_value; just
+  /// `name` when unlabeled. Canonical keys are the
   /// series identity everywhere a string identifies a series: snapshot
   /// find(), delta frames, the wire format, compare.py report keys.
   [[nodiscard]] std::string canonical() const;
@@ -96,8 +97,33 @@ struct MetricKeyLess {
   }
 };
 
-/// Appends `text` as a JSON string literal (quoted, escaped).
+/// Appends `text` as a JSON string literal: quoted, with `"`, `\`, `\n`
+/// and `\t` backslash-escaped and every other byte below 0x20 written as
+/// `\u00XX`. The one JSON escaper of the telemetry plane, so every body is
+/// well-formed whatever the label text.
 void append_json_string(std::string& out, std::string_view text);
+
+/// Inverse of append_json_string for the line-oriented wire formats: reads
+/// the literal starting at `line[i]` into `out` and moves `i` past it;
+/// false on malformed input.
+bool parse_quoted(std::string_view line, std::size_t& i, std::string& out);
+
+/// Reads the ` <integer>` field at `line[i]` into `out` and moves `i` past
+/// it; false when the space or the digits are missing or out of range.
+template <typename Int>
+bool parse_int(std::string_view line, std::size_t& i, Int& out) {
+  if (i >= line.size() || line[i] != ' ') return false;
+  ++i;
+  const auto [ptr, ec] =
+      std::from_chars(line.data() + i, line.data() + line.size(), out);
+  if (ec != std::errc{}) return false;
+  i = static_cast<std::size_t>(ptr - line.data());
+  return true;
+}
+
+/// Appends a label value with Prometheus text-format escaping (backslash,
+/// quote, newline) — shared by MetricKey::canonical() and the exposition.
+void append_label_value(std::string& out, std::string_view value);
 
 namespace detail {
 /// Slot index of the calling thread: assigned round-robin on first use,
@@ -252,8 +278,6 @@ class Histogram {
       return count == 0 ? 0.0
                         : static_cast<double>(sum) / static_cast<double>(count);
     }
-    /// Upper bound of the bucket containing quantile `q` (0..1).
-    [[nodiscard]] double quantile_upper(double q) const;
     /// Interpolated quantile estimate (see obs::histogram_quantile).
     [[nodiscard]] double quantile(double q) const;
 

@@ -9,7 +9,7 @@
 namespace pdc::obs {
 
 namespace detail {
-thread_local WorkerSlot* t_profile_slot = nullptr;
+constinit thread_local WorkerSlot* t_profile_slot = nullptr;
 }  // namespace detail
 
 const char* to_string(WorkerState state) {

@@ -124,7 +124,10 @@ class WorkerSlot {
 };
 
 namespace detail {
-extern thread_local WorkerSlot* t_profile_slot;
+// constinit: a constant-initialized thread_local is accessed directly,
+// not through GCC's TLS init wrapper (which UBSan reports as a null
+// store/load).
+extern constinit thread_local WorkerSlot* t_profile_slot;
 }  // namespace detail
 
 /// Folded flamegraph accumulation: stack key → sample count. Keys are

@@ -1,7 +1,6 @@
 #include "obs/slo.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 
 #include "obs/trace.hpp"
@@ -26,43 +25,6 @@ constexpr std::string_view kWireHeader = "pdcalerts 1";
 
 [[nodiscard]] std::uint64_t scaled_us(double seconds, double scale) {
   return static_cast<std::uint64_t>(seconds * scale * 1e6);
-}
-
-bool parse_quoted(std::string_view line, std::size_t& i, std::string& out) {
-  if (i >= line.size() || line[i] != '"') return false;
-  ++i;
-  while (i < line.size()) {
-    const char ch = line[i];
-    if (ch == '\\') {
-      if (i + 1 >= line.size()) return false;
-      switch (line[i + 1]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 't': out += '\t'; break;
-        default: return false;
-      }
-      i += 2;
-    } else if (ch == '"') {
-      ++i;
-      return true;
-    } else {
-      out += ch;
-      ++i;
-    }
-  }
-  return false;
-}
-
-template <typename Int>
-bool parse_int(std::string_view line, std::size_t& i, Int& out) {
-  if (i >= line.size() || line[i] != ' ') return false;
-  ++i;
-  const auto [ptr, ec] =
-      std::from_chars(line.data() + i, line.data() + line.size(), out);
-  if (ec != std::errc{}) return false;
-  i = static_cast<std::size_t>(ptr - line.data());
-  return true;
 }
 
 bool parse_value(std::string_view line, std::size_t& i, double& out) {
@@ -168,16 +130,11 @@ std::string render_alerts_wire(const std::vector<AlertWireRow>& rows) {
     append_json_string(out, row.source);
     out += ' ';
     out += alert_state_name(row.state);
-    out += ' ';
-    out += std::to_string(row.since_us);
-    out += ' ';
-    out += std::to_string(row.to_pending);
-    out += ' ';
-    out += std::to_string(row.to_firing);
-    out += ' ';
-    out += std::to_string(row.to_resolved);
-    out += ' ';
-    out += std::to_string(row.to_inactive);
+    for (const std::uint64_t n : {row.since_us, row.to_pending, row.to_firing,
+                                  row.to_resolved, row.to_inactive}) {
+      out += ' ';
+      out += std::to_string(n);
+    }
     out += ' ';
     out += format_double(row.value);
     out += '\n';
@@ -218,11 +175,10 @@ std::optional<std::vector<AlertWireRow>> parse_alerts_wire(
     if (!state) return std::nullopt;
     row.state = *state;
     i = state_end;
-    if (!parse_int(line, i, row.since_us)) return std::nullopt;
-    if (!parse_int(line, i, row.to_pending)) return std::nullopt;
-    if (!parse_int(line, i, row.to_firing)) return std::nullopt;
-    if (!parse_int(line, i, row.to_resolved)) return std::nullopt;
-    if (!parse_int(line, i, row.to_inactive)) return std::nullopt;
+    for (std::uint64_t* n : {&row.since_us, &row.to_pending, &row.to_firing,
+                             &row.to_resolved, &row.to_inactive}) {
+      if (!parse_int(line, i, *n)) return std::nullopt;
+    }
     if (!parse_value(line, i, row.value)) return std::nullopt;
     if (i != line.size()) return std::nullopt;
     out.push_back(std::move(row));

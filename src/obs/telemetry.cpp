@@ -1,5 +1,6 @@
 #include "obs/telemetry.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -37,14 +38,7 @@ std::string exposition_labels(const Labels& labels) {
     first = false;
     out += sanitize_name(k);
     out += "=\"";
-    for (char ch : v) {
-      switch (ch) {
-        case '\\': out += "\\\\"; break;
-        case '"': out += "\\\""; break;
-        case '\n': out += "\\n"; break;
-        default: out += ch;
-      }
-    }
+    append_label_value(out, v);
     out += '"';
   }
   return out;
@@ -63,20 +57,29 @@ std::string series_ref(const std::string& name, const std::string& labels,
   return out;
 }
 
-constexpr const char kProfilingDisabledJson[] =
-    "{\"error\":\"profiling disabled (PDCKIT_OBS_NOOP)\"}\n";
+/// The body every route of a compiled-out family answers, indexed by
+/// RouteFamily (metrics routes are never compiled out).
+constexpr const char* kNoopBodies[] = {
+    "",
+    "{\"error\":\"tracing disabled (PDCKIT_OBS_NOOP)\"}\n",
+    "{\"error\":\"time series disabled (PDCKIT_OBS_NOOP)\"}\n",
+    "{\"error\":\"profiling disabled (PDCKIT_OBS_NOOP)\"}\n",
+};
 
-// One shape for the whole /trace family (including /trace/stream): a NOOP
-// build answers every tracing endpoint with this body, so clients need a
-// single "{\"error\"" check instead of per-endpoint shapes.
-constexpr const char kTracingDisabledJson[] =
-    "{\"error\":\"tracing disabled (PDCKIT_OBS_NOOP)\"}\n";
-
-// Likewise one shape for the whole time-series plane (/query, /alerts,
-// /alerts.wire, /incident/*): NOOP builds retain no series and evaluate
-// no rules, so every endpoint of the family answers this body.
-constexpr const char kTimeseriesDisabledJson[] =
-    "{\"error\":\"time series disabled (PDCKIT_OBS_NOOP)\"}\n";
+/// A route handler that renders `render(component, request)` with the
+/// component attached to `slot`, or answers an error JSON naming `what`
+/// while none is attached.
+template <typename T, typename Render>
+std::function<std::string(const std::string&)> attached(
+    const std::atomic<const T*>& slot, const char* what, Render render) {
+  return [&slot, what, render](const std::string& request) {
+    const T* component = slot.load(std::memory_order_acquire);
+    if (component == nullptr) {
+      return std::string("{\"error\":\"no ") + what + " attached\"}\n";
+    }
+    return std::string(render(*component, request));
+  };
+}
 
 }  // namespace
 
@@ -103,13 +106,66 @@ std::uint64_t endpoint_query_u64(const std::string& endpoint,
                                  std::string_view key,
                                  std::uint64_t fallback) {
   const std::string value = endpoint_query(endpoint, key);
-  if (value.empty()) return fallback;
+  const char* end = value.data() + value.size();
   std::uint64_t out = 0;
-  for (char ch : value) {
-    if (ch < '0' || ch > '9') return fallback;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  return ec == std::errc{} && ptr == end ? out : fallback;
+}
+
+bool route_matches(std::string_view path, std::string_view request) {
+  return request.starts_with(path) &&
+         (request.size() == path.size() || request[path.size()] == '?' ||
+          request[path.size()] == ' ');
+}
+
+std::string serve_route(const std::vector<Route>& routes,
+                        const std::string& request) {
+  for (const Route& route : routes) {
+    if (!route_matches(route.path, request)) continue;
+    if (!kObsEnabled && route.family != RouteFamily::kMetrics) {
+      return kNoopBodies[static_cast<std::size_t>(route.family)];
+    }
+    return route.handler(request);
   }
-  return out;
+  std::string out = "error: unknown endpoint '" + request + "' (try ";
+  for (std::size_t i = 0; i < routes.size(); ++i) {
+    if (i != 0) out += ", ";
+    out += routes[i].path;
+  }
+  return out + ")\n";
+}
+
+std::vector<Route> snapshot_routes(
+    std::function<MetricsSnapshot()> scrape,
+    std::function<void(std::string& json)> splice_json) {
+  return {
+      {"/metrics", RouteFamily::kMetrics,
+       [scrape](const std::string&) {
+         return prometheus_exposition(scrape());
+       }},
+      {"/metrics.json", RouteFamily::kMetrics,
+       [scrape, splice_json](const std::string&) {
+         std::string body = scrape().to_json();
+         if (splice_json) splice_json(body);
+         return body;
+       }},
+      // The exact-integer encoding federation scrapes.
+      {"/metrics.wire", RouteFamily::kMetrics,
+       [scrape](const std::string&) { return scrape().to_wire(); }},
+      // An immediate scrape, bypassing whatever cadence the operator tier
+      // polls at; the body is /metrics.json's, so consumers share a parser.
+      {"snapshot-now", RouteFamily::kMetrics,
+       [scrape](const std::string&) { return scrape().to_json(); }},
+      // Top-K contended sites, ranked by total wait from
+      // pdc.contend.wait_us{site=} in the rendered snapshot.
+      {"/profile/contention", RouteFamily::kProfiling,
+       [scrape](const std::string& request) {
+         const std::uint64_t k = endpoint_query_u64(request, "n", 10);
+         return contention_json(
+                    contention_topk(scrape(), static_cast<std::size_t>(k))) +
+                "\n";
+       }},
+  };
 }
 
 std::string prometheus_exposition(const MetricsSnapshot& snapshot) {
@@ -255,9 +311,10 @@ TelemetryServer::TelemetryServer(net::Network& net, int host,
     registry.counter("pdc.trace.stream.events");
     registry.counter("pdc.trace.stream.dropped");
   }
+  routes_ = make_routes();
   net::ServerConfig server_config;
   server_config.model = config.model;
-  server_config.workers = config.workers;
+  server_config.workers = 2;  // worker-pool and event-driven models
   server_config.raw_handler = [this](const net::Bytes& request,
                                      net::StreamSocket& socket) {
     return handle_stream(request, socket);
@@ -298,165 +355,130 @@ MetricsRegistry& TelemetryServer::registry() const {
   return registry_ != nullptr ? *registry_ : MetricsRegistry::instance();
 }
 
-std::string TelemetryServer::endpoint_body(const std::string& endpoint) {
-  if (endpoint == "/healthz") {
-    // Degraded when the attached SLO monitor has firing alerts; a server
-    // with no monitor attached has no alert source and is plainly ok.
-    const SloMonitor* slo = slo_.load(std::memory_order_acquire);
-    const std::size_t firing = slo != nullptr ? slo->firing_count() : 0;
-    return std::string("{\"status\":\"") + (firing > 0 ? "degraded" : "ok") +
-           "\",\"firing\":" + std::to_string(firing) + "}\n";
-  }
-  if (endpoint == "/metrics") {
-    return prometheus_exposition(registry().scrape());
-  }
-  if (endpoint == "/metrics.json") {
-    std::string body = registry().scrape().to_json();
-    // Exemplar splice: with a span collector attached, the scrape carries
-    // the trace ids pinned to each pdc.trace.root_us bucket — the jump
-    // from a histogram percentile to a concrete /trace/byid lookup.
-    const SpanCollector* spans = spans_.load(std::memory_order_acquire);
-    if (kObsEnabled && spans != nullptr && !body.empty() &&
-        body.back() == '}') {
-      body.pop_back();
-      body += ",\"exemplars\":" + spans->exemplars_json() + "}";
-    }
-    return body;
-  }
-  if (endpoint == "/metrics.wire") {
-    return registry().scrape().to_wire();
-  }
-  if (endpoint == "reset") {
-    registry().reset();
-    return "ok\n";
-  }
-  if (endpoint == "snapshot-now") {
-    // An immediate scrape, bypassing whatever cadence the operator tier
-    // polls at; body matches /metrics.json so consumers share a parser.
-    return registry().scrape().to_json();
-  }
-  if (endpoint == "/trace") {
-    if (!kObsEnabled) return kTracingDisabledJson;
-    const TraceCollector* collector =
-        collector_.load(std::memory_order_acquire);
-    if (collector == nullptr) {
-      return "{\"error\":\"no trace collector attached\"}\n";
-    }
-    if (collector->running()) {
-      return "{\"error\":\"trace collector still running\",\"hint\":\"use "
-             "/trace/stream <frames> [interval_ms] for live events, or stop "
-             "the collector for a full dump\"}\n";
-    }
-    return collector->chrome_trace_json();
-  }
-  // Longer prefix first: "/trace/slowest?..." must not swallow the .wire
-  // form (and vice versa would, since both share the /trace/slowest stem).
-  if (endpoint == "/trace/slowest.wire" ||
-      endpoint.rfind("/trace/slowest.wire?", 0) == 0) {
-    if (!kObsEnabled) return kTracingDisabledJson;
-    const SpanCollector* spans = spans_.load(std::memory_order_acquire);
-    if (spans == nullptr) return "{\"error\":\"no span collector attached\"}\n";
-    const std::uint64_t n = endpoint_query_u64(endpoint, "n", 8);
-    return spans->slowest_wire(static_cast<std::size_t>(n));
-  }
-  if (endpoint == "/trace/slowest" ||
-      endpoint.rfind("/trace/slowest?", 0) == 0) {
-    if (!kObsEnabled) return kTracingDisabledJson;
-    const SpanCollector* spans = spans_.load(std::memory_order_acquire);
-    if (spans == nullptr) return "{\"error\":\"no span collector attached\"}\n";
-    const std::uint64_t n = endpoint_query_u64(endpoint, "n", 8);
-    return spans->slowest_json(static_cast<std::size_t>(n));
-  }
-  if (endpoint == "/trace/byid" || endpoint.rfind("/trace/byid?", 0) == 0) {
-    if (!kObsEnabled) return kTracingDisabledJson;
-    const SpanCollector* spans = spans_.load(std::memory_order_acquire);
-    if (spans == nullptr) return "{\"error\":\"no span collector attached\"}\n";
-    return spans->byid_json(endpoint_query_u64(endpoint, "id", 0));
-  }
-  if (endpoint == "/profile/folded") {
-    if (!kObsEnabled) return kProfilingDisabledJson;
-    return Profiler::instance().folded();
-  }
-  if (endpoint == "/profile/contention" ||
-      endpoint.rfind("/profile/contention?", 0) == 0) {
-    if (!kObsEnabled) return kProfilingDisabledJson;
-    const std::uint64_t k = endpoint_query_u64(endpoint, "n", 10);
-    return contention_json(contention_topk(
-               registry().scrape(), static_cast<std::size_t>(k))) +
-           "\n";
-  }
-  if (endpoint == "/profile" || endpoint.rfind("/profile?", 0) == 0) {
-    if (!kObsEnabled) return kProfilingDisabledJson;
-    // Collect-then-respond: this connection's serving thread samples for
-    // the requested window, then replies with just that window's folded
-    // stacks (the Profiler's global accumulation is untouched).
-    const std::uint64_t ms = endpoint_query_u64(endpoint, "ms", 50);
-    const std::uint64_t period = endpoint_query_u64(endpoint, "period_us", 1000);
-    return Profiler::instance().collect(ms, period);
-  }
-  if (endpoint == "/query" || endpoint.rfind("/query?", 0) == 0) {
-    if (!kObsEnabled) return kTimeseriesDisabledJson;
-    const TimeSeriesStore* store = tsdb_.load(std::memory_order_acquire);
-    if (store == nullptr) {
-      return "{\"error\":\"no time-series store attached\"}\n";
-    }
-    const std::string expr = endpoint_query(endpoint, "expr");
-    if (expr.empty()) {
-      return "{\"error\":\"usage /query?expr=rate(name)&window=30s\"}\n";
-    }
-    const std::string window_text = endpoint_query(endpoint, "window");
-    const auto window_us = window_text.empty()
-                               ? std::optional<std::uint64_t>{1'000'000}
-                               : parse_window_us(window_text);
-    if (!window_us.has_value()) {
-      return "{\"error\":\"bad window '" + window_text +
-             "' (want <num>[us|ms|s])\"}\n";
-    }
-    return store->query_json(expr, *window_us);
-  }
-  // Longer prefix first, as in the /trace family: /alerts.wire shares the
-  // /alerts stem.
-  if (endpoint == "/alerts.wire") {
-    if (!kObsEnabled) return kTimeseriesDisabledJson;
-    const SloMonitor* slo = slo_.load(std::memory_order_acquire);
-    if (slo == nullptr) return "{\"error\":\"no slo monitor attached\"}\n";
-    return slo->alerts_wire();
-  }
-  if (endpoint == "/alerts") {
-    if (!kObsEnabled) return kTimeseriesDisabledJson;
-    const SloMonitor* slo = slo_.load(std::memory_order_acquire);
-    if (slo == nullptr) return "{\"error\":\"no slo monitor attached\"}\n";
-    return slo->alerts_json();
-  }
-  if (endpoint == "/incident/last") {
-    if (!kObsEnabled) return kTimeseriesDisabledJson;
-    const FlightRecorder* recorder = recorder_.load(std::memory_order_acquire);
-    if (recorder == nullptr) {
-      return "{\"error\":\"no flight recorder attached\"}\n";
-    }
-    return recorder->incident_last_json();
-  }
-  if (endpoint == "/incident/list") {
-    if (!kObsEnabled) return kTimeseriesDisabledJson;
-    const FlightRecorder* recorder = recorder_.load(std::memory_order_acquire);
-    if (recorder == nullptr) {
-      return "{\"error\":\"no flight recorder attached\"}\n";
-    }
-    return recorder->incident_list_json();
-  }
-  return "error: unknown endpoint '" + endpoint +
-         "' (try /metrics, /metrics.json, /metrics.wire, /trace, "
-         "/trace/slowest?n=K, /trace/slowest.wire?n=K, /trace/byid?id=N, "
-         "/healthz, /profile?ms=N, /profile/folded, /profile/contention?n=K, "
-         "/query?expr=E&window=W, /alerts, /alerts.wire, /incident/last, "
-         "/incident/list, reset, snapshot-now, "
-         "/subscribe <frames> [interval_ms] [filter], "
-         "/trace/stream <frames> [interval_ms])\n";
+std::vector<Route> TelemetryServer::make_routes() {
+  std::vector<Route> routes = snapshot_routes(
+      [this] { return registry().scrape(); },
+      [this](std::string& body) {
+        // Exemplar splice: with a span collector attached, the scrape
+        // carries the trace ids pinned to each pdc.trace.root_us bucket —
+        // the jump from a histogram percentile to a /trace/byid lookup.
+        const SpanCollector* spans = spans_.load(std::memory_order_acquire);
+        if (kObsEnabled && spans != nullptr && !body.empty() &&
+            body.back() == '}') {
+          body.pop_back();
+          body += ",\"exemplars\":" + spans->exemplars_json() + "}";
+        }
+      });
+  routes.insert(routes.end(), {
+      {"/healthz", RouteFamily::kMetrics,
+       [this](const std::string&) {
+         // Degraded while the attached SLO monitor has firing alerts; with
+         // no monitor attached there is no alert source: plainly ok.
+         const SloMonitor* slo = slo_.load(std::memory_order_acquire);
+         const std::size_t firing = slo != nullptr ? slo->firing_count() : 0;
+         return std::string("{\"status\":\"") +
+                (firing > 0 ? "degraded" : "ok") +
+                "\",\"firing\":" + std::to_string(firing) + "}\n";
+       }},
+      {"reset", RouteFamily::kMetrics,
+       [this](const std::string&) {
+         registry().reset();
+         return std::string("ok\n");
+       }},
+      // Streamed by handle_stream; a request that reaches this handler
+      // named no frame count.
+      {"/subscribe", RouteFamily::kMetrics,
+       [](const std::string&) {
+         return std::string(
+             "error: usage /subscribe <frames> [interval_ms] [filter]\n");
+       }},
+      {"/trace/stream", RouteFamily::kTracing,
+       [](const std::string&) {
+         return std::string(
+             "error: usage /trace/stream <frames> [interval_ms]\n");
+       }},
+      {"/trace", RouteFamily::kTracing,
+       attached(collector_, "trace collector",
+                [](const TraceCollector& c, const std::string&) {
+                  if (!c.running()) return c.chrome_trace_json();
+                  return std::string(
+                      "{\"error\":\"trace collector still running\","
+                      "\"hint\":\"use /trace/stream <frames> [interval_ms] "
+                      "for live events, or stop the collector for a full "
+                      "dump\"}\n");
+                })},
+      {"/trace/slowest", RouteFamily::kTracing,
+       attached(spans_, "span collector",
+                [](const SpanCollector& spans, const std::string& request) {
+                  return spans.slowest_json(
+                      endpoint_query_u64(request, "n", 8));
+                })},
+      {"/trace/slowest.wire", RouteFamily::kTracing,
+       attached(spans_, "span collector",
+                [](const SpanCollector& spans, const std::string& request) {
+                  return spans.slowest_wire(
+                      endpoint_query_u64(request, "n", 8));
+                })},
+      {"/trace/byid", RouteFamily::kTracing,
+       attached(spans_, "span collector",
+                [](const SpanCollector& spans, const std::string& request) {
+                  return spans.byid_json(endpoint_query_u64(request, "id", 0));
+                })},
+      {"/profile/folded", RouteFamily::kProfiling,
+       [](const std::string&) { return Profiler::instance().folded(); }},
+      // Collect-then-respond: this connection's serving thread samples for
+      // the requested window, then replies with just that window's folded
+      // stacks (the Profiler's global accumulation is untouched).
+      {"/profile", RouteFamily::kProfiling,
+       [](const std::string& request) {
+         return Profiler::instance().collect(
+             endpoint_query_u64(request, "ms", 50),
+             endpoint_query_u64(request, "period_us", 1000));
+       }},
+      {"/query", RouteFamily::kTimeseries,
+       attached(tsdb_, "time-series store",
+                [](const TimeSeriesStore& store, const std::string& request) {
+                  const std::string expr = endpoint_query(request, "expr");
+                  if (expr.empty()) {
+                    return std::string(
+                        "{\"error\":\"usage "
+                        "/query?expr=rate(name)&window=30s\"}\n");
+                  }
+                  const std::string window = endpoint_query(request, "window");
+                  const auto window_us =
+                      window.empty() ? std::optional<std::uint64_t>{1'000'000}
+                                     : parse_window_us(window);
+                  if (!window_us.has_value()) {
+                    return "{\"error\":\"bad window '" + window +
+                           "' (want <num>[us|ms|s])\"}\n";
+                  }
+                  return store.query_json(expr, *window_us);
+                })},
+      {"/alerts", RouteFamily::kTimeseries,
+       attached(slo_, "slo monitor", [](const SloMonitor& slo, const auto&) {
+         return slo.alerts_json();
+       })},
+      {"/alerts.wire", RouteFamily::kTimeseries,
+       attached(slo_, "slo monitor", [](const SloMonitor& slo, const auto&) {
+         return slo.alerts_wire();
+       })},
+      {"/incident/last", RouteFamily::kTimeseries,
+       attached(recorder_, "flight recorder",
+                [](const FlightRecorder& r, const auto&) {
+                  return r.incident_last_json();
+                })},
+      {"/incident/list", RouteFamily::kTimeseries,
+       attached(recorder_, "flight recorder",
+                [](const FlightRecorder& r, const auto&) {
+                  return r.incident_list_json();
+                })},
+  });
+  return routes;
 }
 
 net::Bytes TelemetryServer::handle(const net::Bytes& request) {
   const std::uint64_t start = now_us();
-  std::string body = endpoint_body(net::to_string(request));
+  std::string body = serve_route(routes_, net::to_string(request));
   // Self-accounting strictly after the render: a scrape must never observe
   // its own request (determinism contract in the header).
   PDC_OBS_HIST("pdc.telemetry.render_us", now_us() - start);
@@ -467,11 +489,14 @@ net::Bytes TelemetryServer::handle(const net::Bytes& request) {
 bool TelemetryServer::handle_stream(const net::Bytes& request,
                                     net::StreamSocket& socket) {
   const std::string text = net::to_string(request);
-  const bool is_subscribe = text.rfind("/subscribe", 0) == 0;
-  const bool is_trace_stream = text.rfind("/trace/stream", 0) == 0;
+  const bool is_subscribe = route_matches("/subscribe", text);
+  // A NOOP build falls through: the /trace/stream route then answers the
+  // tracing family's body as one frame, like the rest of the family.
+  const bool is_trace_stream =
+      kObsEnabled && route_matches("/trace/stream", text);
   if (!is_subscribe && !is_trace_stream) return false;
-  const char* verb = is_subscribe ? "/subscribe" : "/trace/stream";
-  std::istringstream in(text.substr(std::string_view(verb).size()));
+  const std::string_view verb = is_subscribe ? "/subscribe" : "/trace/stream";
+  std::istringstream in(text.substr(verb.size()));
   std::uint64_t frames = 0;
   std::uint64_t interval_ms = 0;
   std::string filter;
@@ -483,13 +508,8 @@ bool TelemetryServer::handle_stream(const net::Bytes& request,
     interval_ms = 0;
   }
   in >> filter;
-  if (!got_frames || frames == 0) {
-    (void)net::MessageCodec::send_message(
-        socket, net::to_bytes(std::string("error: usage ") + verb +
-                              " <frames> [interval_ms]" +
-                              (is_subscribe ? " [filter]" : "") + "\n"));
-    return true;
-  }
+  // No frame count: the framed path's route answers the usage error.
+  if (!got_frames || frames == 0) return false;
   return is_subscribe
              ? stream_subscription(frames, interval_ms, filter, socket)
              : stream_trace(frames, interval_ms, socket);
@@ -522,13 +542,6 @@ bool TelemetryServer::stream_subscription(std::uint64_t frames,
 bool TelemetryServer::stream_trace(std::uint64_t frames,
                                    std::uint64_t interval_ms,
                                    net::StreamSocket& socket) {
-  if (!kObsEnabled) {
-    // Same body the rest of the /trace family returns — one error shape
-    // for tracing-off builds regardless of transport (frame vs stream).
-    (void)net::MessageCodec::send_message(
-        socket, net::to_bytes(std::string(kTracingDisabledJson)));
-    return true;
-  }
   const TraceCollector* collector = collector_.load(std::memory_order_acquire);
   if (collector == nullptr || !collector->running()) {
     (void)net::MessageCodec::send_message(
@@ -585,32 +598,27 @@ support::Status TelemetryClient::subscribe(
     std::size_t frames, std::uint64_t interval_ms,
     const std::function<void(const std::string&)>& on_frame,
     std::string_view filter) {
-  PDC_CHECK_MSG(socket_.valid(), "subscribe before connect");
   std::string request = "/subscribe " + std::to_string(frames) + " " +
                         std::to_string(interval_ms);
   if (!filter.empty()) {
     request += ' ';
     request += filter;
   }
-  if (auto status =
-          net::MessageCodec::send_message(socket_, net::to_bytes(request));
-      !status.is_ok()) {
-    return status;
-  }
-  for (std::size_t i = 0; i < frames; ++i) {
-    auto frame = net::MessageCodec::recv_message(socket_);
-    if (!frame.is_ok()) return frame.status();
-    on_frame(net::to_string(frame.value()));
-  }
-  return support::Status::ok();
+  return stream(request, frames, on_frame);
 }
 
 support::Status TelemetryClient::stream_trace(
     std::size_t frames, std::uint64_t interval_ms,
     const std::function<void(const std::string&)>& on_chunk) {
-  PDC_CHECK_MSG(socket_.valid(), "stream_trace before connect");
-  const std::string request = "/trace/stream " + std::to_string(frames) + " " +
-                              std::to_string(interval_ms);
+  return stream("/trace/stream " + std::to_string(frames) + " " +
+                    std::to_string(interval_ms),
+                frames, on_chunk);
+}
+
+support::Status TelemetryClient::stream(
+    const std::string& request, std::size_t frames,
+    const std::function<void(const std::string&)>& on_frame) {
+  PDC_CHECK_MSG(socket_.valid(), "stream before connect");
   if (auto status =
           net::MessageCodec::send_message(socket_, net::to_bytes(request));
       !status.is_ok()) {
@@ -620,12 +628,10 @@ support::Status TelemetryClient::stream_trace(
     auto frame = net::MessageCodec::recv_message(socket_);
     if (!frame.is_ok()) return frame.status();
     const std::string text = net::to_string(frame.value());
-    on_chunk(text);
+    on_frame(text);
     // A usage/collector problem arrives as a single error frame; stop
     // instead of blocking on frames the server will never push.
-    if (text.rfind("{\"error\"", 0) == 0 || text.rfind("error:", 0) == 0) {
-      break;
-    }
+    if (text.starts_with("{\"error\"") || text.starts_with("error:")) break;
   }
   return support::Status::ok();
 }

@@ -4,71 +4,21 @@
 // The case-study courses teach performance *observation* of running
 // systems; this is the piece that makes PDCkit queryable while it runs.
 // A TelemetryServer is an ordinary net::Server speaking the framed text
-// protocol (request = endpoint string, reply = body):
+// protocol (request = endpoint string, reply = body). Its endpoints are
+// one route table (TelemetryServer::make_routes in telemetry.cpp; the
+// reference is the endpoint table in docs/observability.md), served by
+// serve_route() — the same dispatcher the federating Aggregator uses:
 //
-//   /metrics        Prometheus-style text exposition of the registry
-//   /metrics.json   the same scrape as MetricsSnapshot::to_json()
-//   /metrics.wire   the same scrape as MetricsSnapshot::to_wire() — the
-//                   exact-integer encoding federation scrapes (see
-//                   obs/federation.hpp)
-//   /trace          Chrome trace_event JSON of the attached collector's
-//                   harvested session (error JSON when none is attached
-//                   or it is still running — stream instead, below)
-//   /trace/slowest?n=K    the attached SpanCollector's K slowest kept
-//                   traces as JSON, critical-path annotated (default 8)
-//   /trace/slowest.wire?n=K   the same list in the line-oriented wire
-//                   form the Aggregator federates
-//   /trace/byid?id=N      one kept trace by trace id (error JSON when it
-//                   was sampled away)
-//                   (every /trace-family endpoint — including
-//                   /trace/stream — answers the same
-//                   {"error":"tracing disabled (PDCKIT_OBS_NOOP)"} shape
-//                   under PDCKIT_OBS_NOOP)
-//   /healthz        {"status":"ok|degraded","firing":N} — degraded when
-//                   the attached SloMonitor has firing alerts (ok with
-//                   zero firing when none is attached)
-//   /query?expr=E&window=W   windowed query against the attached
-//                   TimeSeriesStore: E is rate(name), increase(name),
-//                   avg_over_time(name), max_over_time(name), or
-//                   quantile_over_time(name,q); W is <num>[us|ms|s]
-//                   (default 1s). Body: {"expr":...,"window_us":N,
-//                   "value":<num|null>} or {"error":...}
-//   /alerts         the attached SloMonitor's alert states as JSON
-//                   ({"alerts":[...],"firing":N})
-//   /alerts.wire    the same states in the line-oriented wire form the
-//                   Aggregator federates (see obs/slo.hpp)
-//   /incident/last  the attached FlightRecorder's newest incident bundle
-//   /incident/list  its retained incident index
-//                   (the /query, /alerts, and /incident families answer
-//                   one {"error":"time series disabled (PDCKIT_OBS_NOOP)"}
-//                   shape under PDCKIT_OBS_NOOP)
-//   /profile?ms=N&period_us=P   collect-then-respond profile: samples the
-//                   worker slots inline for N ms (default 50) at period P
-//                   (default 1000) and replies with that window's folded
-//                   stacks — the global accumulation is untouched
-//   /profile/folded flamegraph.pl-compatible folded stacks of the
-//                   Profiler's global accumulation (whatever sampler is
-//                   feeding it: start(), run_sim_sampler, sample_once)
-//   /profile/contention?n=K   top-K most-contended sites as JSON, ranked
-//                   by total wait from pdc.contend.wait_us{site=} in the
-//                   served registry
-//                   (all three /profile endpoints answer an error JSON
-//                   under PDCKIT_OBS_NOOP)
-//   /subscribe N I [filter]  push N framed delta snapshots, I ms apart;
-//                   the optional third token restricts frames to series
-//                   whose canonical name starts with it — "pdc.pool." for
-//                   a family, `pdc.raft.term{rank="1"}` for one labeled
-//                   series (see below)
-//   /trace/stream N I  push N framed chunks of live trace events from the
-//                   *running* collector, I ms apart: per-client
-//                   TraceStreamCursor on the connection stack; each frame
-//                   is {"cursor":k,"dropped":<cumulative laps>,
-//                   "events":[...]} with events byte-identical to their
-//                   /trace dump twins
-//   reset           control verb: zero every metric in the served
-//                   registry, reply "ok\n"
-//   snapshot-now    control verb: immediate /metrics.json body, bypassing
-//                   any scrape cadence an operator tier imposes
+//   - a route matches `path`, `path?query` or `path args`, so route order
+//     never matters and no path shadows a longer one;
+//   - a route's family picks the one body it answers under
+//     PDCKIT_OBS_NOOP (metrics routes serve in every build);
+//   - an unmatched request answers an error listing every route.
+//
+// The snapshot-rendering routes (/metrics, /metrics.json, /metrics.wire,
+// snapshot-now, /profile/contention) are written once in snapshot_routes()
+// and shared with the Aggregator, which renders its federated merge
+// through them instead of a registry scrape.
 //
 // Delta subscriptions use net::ServerConfig::raw_handler: the serving
 // thread scrapes, diffs against the previous scrape it sent *this client*
@@ -95,6 +45,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
@@ -131,19 +83,52 @@ class FlightRecorder;
                                      std::string_view filter = {});
 
 /// Value of `key` in an endpoint's `?k=v&k2=v2` query block; empty when
-/// absent. Shared by the telemetry and aggregator endpoint parsers.
+/// absent. Shared by the telemetry and aggregator route handlers.
 [[nodiscard]] std::string endpoint_query(const std::string& endpoint,
                                          std::string_view key);
 
 /// Like endpoint_query, parsed as an unsigned integer; `fallback` when
-/// absent or malformed.
+/// absent, malformed, or too large for 64 bits.
 [[nodiscard]] std::uint64_t endpoint_query_u64(const std::string& endpoint,
                                                std::string_view key,
                                                std::uint64_t fallback);
 
+/// Which feature a route belongs to, and so which body it answers under
+/// PDCKIT_OBS_NOOP: each compiled-out family answers one
+/// {"error":"<family> disabled (PDCKIT_OBS_NOOP)"} shape on every route,
+/// so clients need a single "{\"error\"" check. kMetrics routes serve in
+/// every build.
+enum class RouteFamily { kMetrics, kTracing, kTimeseries, kProfiling };
+
+/// One endpoint of a telemetry server: `handler` renders the reply body
+/// for a request that names `path` (see route_matches).
+struct Route {
+  std::string_view path;
+  RouteFamily family = RouteFamily::kMetrics;
+  std::function<std::string(const std::string& request)> handler;
+};
+
+/// True when `request` names `path` exactly, as `path?query`, or as
+/// `path args`.
+[[nodiscard]] bool route_matches(std::string_view path,
+                                 std::string_view request);
+
+/// The reply to `request`: the matching route's handler, its family's NOOP
+/// body when that family is compiled out, or an unknown-endpoint error
+/// that lists every route.
+[[nodiscard]] std::string serve_route(const std::vector<Route>& routes,
+                                      const std::string& request);
+
+/// The routes both servers answer by rendering one snapshot: `scrape` is
+/// a registry scrape (TelemetryServer) or a federated merge (Aggregator).
+/// `splice_json`, when set, edits the /metrics.json body before it is
+/// sent.
+[[nodiscard]] std::vector<Route> snapshot_routes(
+    std::function<MetricsSnapshot()> scrape,
+    std::function<void(std::string& json)> splice_json = {});
+
 struct TelemetryConfig {
   net::ThreadingModel model = net::ThreadingModel::kThreadPerConnection;
-  std::size_t workers = 2;  // worker-pool model only
   // Registry this server scrapes and resets; nullptr means the
   // process-wide MetricsRegistry::instance(). Per-rank servers in a
   // federated sim each point at their own instance so every endpoint
@@ -190,9 +175,12 @@ class TelemetryServer {
   /// Stops accepting; existing connections finish their current request.
   void stop();
 
+  /// The endpoints this server answers.
+  [[nodiscard]] const std::vector<Route>& routes() const { return routes_; }
+
  private:
   [[nodiscard]] MetricsRegistry& registry() const;
-  [[nodiscard]] std::string endpoint_body(const std::string& endpoint);
+  [[nodiscard]] std::vector<Route> make_routes();
   net::Bytes handle(const net::Bytes& request);
   bool handle_stream(const net::Bytes& request, net::StreamSocket& socket);
   bool stream_subscription(std::uint64_t frames, std::uint64_t interval_ms,
@@ -207,6 +195,7 @@ class TelemetryServer {
   std::atomic<const TimeSeriesStore*> tsdb_{nullptr};
   std::atomic<const SloMonitor*> slo_{nullptr};
   std::atomic<const FlightRecorder*> recorder_{nullptr};
+  std::vector<Route> routes_;
   std::unique_ptr<net::Server> server_;  // last member: threads start here
 };
 
@@ -240,6 +229,12 @@ class TelemetryClient {
   void close();
 
  private:
+  /// Sends `request`, then hands up to `frames` pushed frames to
+  /// `on_frame`, stopping early at an error frame.
+  support::Status stream(
+      const std::string& request, std::size_t frames,
+      const std::function<void(const std::string&)>& on_frame);
+
   net::Network& net_;
   int host_;
   net::StreamSocket socket_;

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "support/check.hpp"
 #include "testkit/hooks.hpp"
 
@@ -100,18 +101,6 @@ const char* phase_of(TraceEventKind kind) {
     case TraceEventKind::kFlowEnd: return "f";
   }
   return "i";
-}
-
-void append_json_string(std::string& out, const char* text) {
-  out += '"';
-  for (; *text != '\0'; ++text) {
-    switch (*text) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default: out += *text;
-    }
-  }
-  out += '"';
 }
 
 /// One Chrome trace_event object — shared by the post-stop dump and the
@@ -283,7 +272,7 @@ std::string TraceCollector::chrome_trace_json() const {
     std::string line = "{\"ph\":\"M\",\"pid\":1,\"tid\":" +
                        std::to_string(ring.tid) +
                        ",\"name\":\"thread_name\",\"args\":{\"name\":";
-    detail::append_json_string(line, ring.thread_name);
+    append_json_string(line, ring.thread_name);
     line += "}}";
     emit(line);
     emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(ring.tid) +

@@ -9,6 +9,7 @@
 // they double as the data-race check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -27,17 +28,21 @@
 #include "net/network.hpp"
 #include "obs/bench_report.hpp"
 #include "obs/federation.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/replay.hpp"
+#include "obs/slo.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "obs/tsdb.hpp"
 #include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "testkit/hooks.hpp"
+#include "testkit/json_check.hpp"
 #include "testkit/schedule_explorer.hpp"
 #include "testkit/sim_scheduler.hpp"
 
@@ -1233,6 +1238,237 @@ TEST(Federation, LabeledWritesRacingFederatedScrapeStress) {
   for (auto& writer : writers) writer.join();
   EXPECT_NE(last.find("race"), std::string::npos);
   client.close();
+}
+
+// ------------------------------------------ route tables & JSON bodies
+
+/// The one body every route of a compiled-out family answers.
+std::string noop_reply(obs::RouteFamily family) {
+  switch (family) {
+    case obs::RouteFamily::kTracing:
+      return "{\"error\":\"tracing disabled (PDCKIT_OBS_NOOP)\"}\n";
+    case obs::RouteFamily::kTimeseries:
+      return "{\"error\":\"time series disabled (PDCKIT_OBS_NOOP)\"}\n";
+    case obs::RouteFamily::kProfiling:
+      return "{\"error\":\"profiling disabled (PDCKIT_OBS_NOOP)\"}\n";
+    case obs::RouteFamily::kMetrics:
+      break;
+  }
+  return {};
+}
+
+bool unknown_endpoint(const std::string& body) {
+  return body.starts_with("error: unknown endpoint");
+}
+
+/// Requests every route of `routes` by its bare path, then `extra` query
+/// and argument forms. Default build: each answers something other than
+/// the unknown-endpoint reply, and every JSON body is well-formed. NOOP
+/// build: each route of a disabled family answers exactly its family's
+/// body. Either way a path never matches as a prefix of a longer one, and
+/// the unknown-endpoint reply lists every route.
+void walk_routes(net::Network& net, const net::Address& address,
+                 const std::vector<obs::Route>& routes,
+                 std::vector<std::string> requests) {
+  for (const obs::Route& route : routes) requests.emplace_back(route.path);
+  obs::TelemetryClient client(net, 2);
+  ASSERT_TRUE(client.connect(address).is_ok());
+  for (const std::string& request : requests) {
+    const auto route = std::find_if(
+        routes.begin(), routes.end(), [&](const obs::Route& r) {
+          return obs::route_matches(r.path, request);
+        });
+    ASSERT_NE(route, routes.end()) << request;
+    const std::string body = client.get(request).value();
+    if (!obs::kObsEnabled && route->family != obs::RouteFamily::kMetrics) {
+      EXPECT_EQ(body, noop_reply(route->family)) << request;
+      continue;
+    }
+    EXPECT_FALSE(unknown_endpoint(body)) << request;
+    if (body.starts_with("{")) {
+      EXPECT_EQ(testkit::json_error(body), "") << request << ": " << body;
+    }
+  }
+  for (const char* near_miss :
+       {"/profile/contentionXYZ", "/metrics/topkXYZ", "/metricsXYZ"}) {
+    EXPECT_TRUE(unknown_endpoint(client.get(near_miss).value())) << near_miss;
+  }
+  const std::string unknown = client.get("/nope").value();
+  for (const obs::Route& route : routes) {
+    EXPECT_NE(unknown.find(route.path), std::string::npos) << route.path;
+  }
+  client.close();
+}
+
+TEST(TelemetryRoutes, EveryRouteOfBothServersAnswers) {
+  MetricsRegistry registry;
+  registry.counter("route.hits", {{"k", "v"}}).inc(2);
+  obs::TsdbConfig tsdb_config;
+  tsdb_config.registry = &registry;
+  obs::TimeSeriesStore store(tsdb_config);
+  obs::SloMonitor monitor(&store);
+  obs::FlightRecorderConfig recorder_config;
+  recorder_config.store = &store;
+  recorder_config.registry = &registry;
+  obs::FlightRecorder recorder(recorder_config);
+  obs::TraceCollector trace;
+  obs::SpanCollector spans;
+  if (obs::kObsEnabled) {
+    // An outage that fires an alert and freezes an incident bundle, a
+    // stopped trace session, and one kept span tree: every attachment
+    // renders a real body, not its "not attached" error.
+    ASSERT_TRUE(monitor.add_rule(obs::availability_slo(
+        "route.availability", "t.good", "t.total", 0.99, 1e-3)));
+    store.set_tick_hook([&](std::uint64_t now_us) {
+      recorder.tick(now_us);
+      monitor.evaluate(now_us);
+    });
+    monitor.set_firing_hook([&](std::uint64_t now_us, const obs::SloRule& rule,
+                                const obs::AlertStatus& status) {
+      recorder.on_alert_firing(now_us, rule, status);
+    });
+    auto& good = registry.counter("t.good");
+    auto& total = registry.counter("t.total");
+    for (std::uint64_t tick = 1; tick <= 200; ++tick) {
+      total.inc(10);
+      if (tick <= 100) good.inc(10);
+      store.sample_once_at(tick * 10'000);
+    }
+    ASSERT_EQ(recorder.incidents_total(), 1u);
+    trace.start();
+    { obs::ScopedSpan span("route.span"); }
+    trace.stop();
+    spans.start();
+    auto root = obs::span_root("request", 7, obs::now_us());
+    obs::span_end(root);
+  }
+
+  net::Network net(3, fast_net());
+  obs::TelemetryConfig config;
+  config.registry = &registry;
+  obs::TelemetryServer server(net, 0, 9100, config);
+  server.attach_collector(&trace);
+  server.attach_spans(&spans);
+  server.attach_tsdb(&store);
+  server.attach_slo(&monitor);
+  server.attach_recorder(&recorder);
+  obs::Aggregator aggregator(net, 1, 9200, {{server.address(), "0"}});
+
+  walk_routes(net, server.address(), server.routes(),
+              {"/trace/slowest?n=3", "/trace/slowest.wire?n=3",
+               "/trace/byid?id=1", "/trace/byid?id=7",
+               "/query?expr=rate(x)&window=1s",
+               "/query?expr=rate(route.hits)&window=1s", "/profile?ms=1",
+               "/profile/contention?n=3"});
+  walk_routes(net, aggregator.address(), aggregator.routes(),
+              {"/trace/slowest?n=3", "/trace/slowest.wire?n=3",
+               "/metrics/topk?n=3&by=rate", "/profile/contention?n=3",
+               "add-target 0 9100 again", "remove-target again"});
+
+  // The streaming transport answers a NOOP build's tracing body as one
+  // frame, like every other route of the family.
+  obs::TelemetryClient client(net, 2);
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  std::vector<std::string> chunks;
+  ASSERT_TRUE(client
+                  .stream_trace(3, 0,
+                                [&](const std::string& chunk) {
+                                  chunks.push_back(chunk);
+                                })
+                  .is_ok());
+  if (!obs::kObsEnabled) {
+    ASSERT_EQ(chunks.size(), 1u);
+    EXPECT_EQ(chunks.front(), noop_reply(obs::RouteFamily::kTracing));
+  }
+  client.close();
+  aggregator.stop();
+  server.stop();
+}
+
+TEST(TelemetryRoutes, QueryIntegersOutside64BitsFallBack) {
+  EXPECT_EQ(obs::endpoint_query_u64("/x?n=18446744073709551615", "n", 7),
+            18446744073709551615u);
+  EXPECT_EQ(obs::endpoint_query_u64("/x?n=18446744073709551617", "n", 7), 7u);
+  EXPECT_EQ(obs::endpoint_query_u64("/x?n=99999999999999999999999", "n", 7),
+            7u);
+  EXPECT_EQ(obs::endpoint_query_u64("/x?n=-1", "n", 7), 7u);
+  EXPECT_EQ(obs::endpoint_query_u64("/x?n=", "n", 7), 7u);
+  EXPECT_EQ(obs::endpoint_query_u64("/x?n=12", "n", 7), 12u);
+}
+
+// Label text holding every control byte plus quote and backslash must
+// leave every JSON body well-formed, and federate through the .wire
+// formats with its bytes unchanged.
+TEST(TelemetryJson, HostileLabelTextStaysWellFormedAndFederatesUnchanged) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  std::string hostile;
+  for (char ch = 0x01; ch < 0x20; ++ch) hostile += ch;
+  hostile += "\"\\";
+  const std::string rule = "rule" + hostile;
+  const std::string source = "r\x02";
+  MetricsRegistry registry;
+  registry.counter("hostile.hits", {{"text", hostile}}).inc(3);
+  obs::TsdbConfig tsdb_config;
+  tsdb_config.registry = &registry;
+  obs::TimeSeriesStore store(tsdb_config);
+  obs::SloMonitor monitor(&store);
+  ASSERT_TRUE(monitor.add_rule(
+      obs::availability_slo(rule, "t.good", "t.total", 0.99, 1e-3)));
+  store.sample_once_at(10'000);
+  monitor.evaluate(10'000);
+
+  net::Network net(3, fast_net());
+  obs::TelemetryConfig config;
+  config.registry = &registry;
+  obs::TelemetryServer server(net, 0, 9100, config);
+  server.attach_slo(&monitor);
+  obs::Aggregator aggregator(net, 1, 9200, {{server.address(), source}});
+  const auto expect_json = [&](const net::Address& address,
+                               std::initializer_list<const char*> endpoints) {
+    obs::TelemetryClient client(net, 2);
+    ASSERT_TRUE(client.connect(address).is_ok());
+    for (const char* endpoint : endpoints) {
+      const std::string body = client.get(endpoint).value();
+      EXPECT_EQ(testkit::json_error(body), "") << endpoint << ": " << body;
+    }
+    client.close();
+  };
+  expect_json(server.address(), {"/metrics.json", "snapshot-now", "/alerts"});
+  expect_json(aggregator.address(),
+              {"/metrics.json", "/metrics/topk", "/alerts"});
+
+  obs::TelemetryClient client(net, 2);
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  ASSERT_TRUE(client
+                  .subscribe(1, 0,
+                             [](const std::string& frame) {
+                               EXPECT_EQ(testkit::json_error(frame), "")
+                                   << frame;
+                             })
+                  .is_ok());
+  client.close();
+
+  // Two tiers of federation: the aggregator decodes the server's .wire
+  // bodies, and its own .wire bodies decode back to the same bytes.
+  ASSERT_TRUE(client.connect(aggregator.address()).is_ok());
+  const auto merged =
+      obs::MetricsSnapshot::from_wire(client.get("/metrics.wire").value());
+  ASSERT_TRUE(merged.has_value());
+  const obs::MetricKey stamped{"hostile.hits",
+                               {{"rank", source}, {"text", hostile}}};
+  const obs::MetricSample* series = merged->find(stamped.canonical());
+  ASSERT_NE(series, nullptr);
+  EXPECT_EQ(series->labels, stamped.labels);
+  EXPECT_EQ(series->count, 3u);
+  const auto alerts =
+      obs::parse_alerts_wire(client.get("/alerts.wire").value());
+  ASSERT_TRUE(alerts.has_value());
+  ASSERT_EQ(alerts->size(), 1u);
+  EXPECT_EQ(alerts->front().rule, rule);
+  EXPECT_EQ(alerts->front().source, source);
+  client.close();
+  aggregator.stop();
+  server.stop();
 }
 
 // -------------------------------------------------------- trace stream

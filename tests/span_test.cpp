@@ -476,33 +476,6 @@ TEST(SpanTelemetry, SlowestAndByIdServeKeptTraces) {
   collector.stop();
 }
 
-TEST(SpanTelemetry, NoopBuildAnswersOneErrorShapeAcrossTheTraceFamily) {
-  if (obs::kObsEnabled) GTEST_SKIP() << "needs a PDCKIT_OBS_NOOP build";
-  net::Network net(2, fast_net());
-  obs::TelemetryServer server(net, 0, 9100);
-  obs::TelemetryClient client(net, 1);
-  ASSERT_TRUE(client.connect(server.address()).is_ok());
-  const std::string expected =
-      "{\"error\":\"tracing disabled (PDCKIT_OBS_NOOP)\"}\n";
-  for (const char* endpoint :
-       {"/trace", "/trace/slowest", "/trace/slowest?n=3",
-        "/trace/slowest.wire", "/trace/byid?id=1"}) {
-    EXPECT_EQ(client.get(endpoint).value(), expected) << endpoint;
-  }
-  // The streaming transport answers the same body as a single frame.
-  std::vector<std::string> chunks;
-  ASSERT_TRUE(client
-                  .stream_trace(3, 0,
-                                [&](const std::string& chunk) {
-                                  chunks.push_back(chunk);
-                                })
-                  .is_ok());
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks.front(), expected);
-  client.close();
-  server.stop();
-}
-
 TEST(SpanTelemetry, AggregatorFederatesAndSourceStampsKeptTraces) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
   MetricsRegistry::instance().reset();

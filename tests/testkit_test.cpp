@@ -19,6 +19,7 @@
 #include "net/network.hpp"
 #include "testkit/fault_injector.hpp"
 #include "testkit/hooks.hpp"
+#include "testkit/json_check.hpp"
 #include "testkit/linearizability.hpp"
 #include "testkit/schedule_explorer.hpp"
 #include "testkit/sim_scheduler.hpp"
@@ -854,6 +855,30 @@ TEST(HistoryRecorder, StampsBracketingTimestamps) {
   EXPECT_EQ(recorder.history()[t_get].result, "v");
   recorder.clear();
   EXPECT_EQ(recorder.size(), 0u);
+}
+
+// ----------------------------------------------------------- json_error
+
+TEST(JsonCheck, AcceptsWellFormedValues) {
+  for (const char* text :
+       {"{}", "[]", "0", "-0.5e+3", "1E-7", "true", "null", "\"\"",
+        "\"q\\\"b\\\\s\\/\\b\\f\\n\\r\\t\\u00e9\"",
+        " {\"a\":[1,true,false,null,{\"b\":\"\"}],\"c\":{}}\n", "[[[]]]"}) {
+    EXPECT_EQ(json_error(text), "") << text;
+  }
+}
+
+TEST(JsonCheck, RejectsWhatRfc8259Forbids) {
+  const std::string deep = std::string(300, '[') + std::string(300, ']');
+  for (const std::string_view text : std::initializer_list<std::string_view>{
+           "\"a\x01\"", "\"tab\there\"", "\"a\\x\"", "\"\\u12\"",  // strings
+           "[1,]", "{\"a\":1,}", "{,}",                          // commas
+           "{} {}", "1 2", "{}x",                                // trailing
+           "", "01", "1.", "-", ".5", "1e", "+1", "tru", "NaN",  // scalars
+           "{\"a\" 1}", "{a:1}", "{'a':1}", "[1 2]", "\"open", "[", deep}) {
+    EXPECT_NE(json_error(text), "") << text;
+  }
+  EXPECT_EQ(json_error("\"a\x1f\""), "raw control byte in a string at 2");
 }
 
 }  // namespace

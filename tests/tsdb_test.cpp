@@ -541,23 +541,6 @@ TEST(TsdbTelemetry, UnattachedEndpointsAnswerErrorShapes) {
   server.stop();
 }
 
-TEST(TsdbTelemetry, NoopBuildAnswersOneErrorShapeAcrossTheFamily) {
-  if (obs::kObsEnabled) GTEST_SKIP() << "needs a PDCKIT_OBS_NOOP build";
-  net::Network net(2, fast_net());
-  obs::TelemetryServer server(net, 0, 9100);
-  obs::TelemetryClient client(net, 1);
-  ASSERT_TRUE(client.connect(server.address()).is_ok());
-  const std::string expected =
-      "{\"error\":\"time series disabled (PDCKIT_OBS_NOOP)\"}\n";
-  for (const char* endpoint :
-       {"/query?expr=rate(x)&window=1s", "/alerts", "/alerts.wire",
-        "/incident/last", "/incident/list"}) {
-    EXPECT_EQ(client.get(endpoint).value(), expected) << endpoint;
-  }
-  client.close();
-  server.stop();
-}
-
 // ---------------------------------------------------------- federation
 
 TEST(TsdbFederation, AggregatorRollsUpWorstStateAndStampsSources) {
