@@ -25,7 +25,8 @@
 //      < 5 us), windowed queries against a full ring, and one SloMonitor
 //      evaluation of a two-rule burn-rate set;
 //  11. the span plane: mint+finish pair with and without a collector
-//      running (tracing-off acceptance: <= 1 ns over the bare loop),
+//      running (tracing-off acceptance: <= 1 ns over the bare loop), four
+//      threads closing root+child pairs at once,
 //      SpanScope enter/exit, traced vs untraced frame encode+scan, and
 //      the headline end-to-end number — LoadGen RPS against an
 //      event-driven echo server at 10k connections, tracing off vs on
@@ -37,6 +38,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/framing.hpp"
@@ -460,6 +462,27 @@ int main() {
       pdc::obs::SpanScope scope(pdc::obs::SpanContext{i + 1, 1});
       g_sink = g_sink + i;
     });
+    // Four threads closing root+child pairs at once: what span_end costs
+    // when every request thread closes spans. Wall time over one thread's
+    // pair count, so perfect scaling reads like the uncontended pair.
+    constexpr int kPairThreads = 4;
+    constexpr std::size_t kThreadPairs = 1 << 16;
+    Stopwatch contended;
+    std::vector<std::thread> pair_threads;
+    for (int t = 0; t < kPairThreads; ++t) {
+      pair_threads.emplace_back([t] {
+        const std::uint64_t first = (static_cast<std::uint64_t>(t) + 1) << 40;
+        for (std::size_t i = 0; i < kThreadPairs; ++i) {
+          auto root = pdc::obs::span_root("bench.request", first + i);
+          auto child = pdc::obs::span_begin("bench.child", root.context());
+          pdc::obs::span_end(child);
+          pdc::obs::span_end(root);
+        }
+      });
+    }
+    for (auto& thread : pair_threads) thread.join();
+    const double on_pair_4t =
+        contended.elapsed_seconds() * 1e9 / static_cast<double>(kThreadPairs);
     collector.stop();
 
     // Frame codec: the 16-byte trace header is absent from untraced
@@ -491,6 +514,8 @@ int main() {
                    delta(off_pair)});
     table.add_row({"span pair, collector running", TextTable::num(on_pair, 2),
                    delta(on_pair)});
+    table.add_row({"root+child pair, 4 threads at once",
+                   TextTable::num(on_pair_4t, 2), delta(on_pair_4t)});
     table.add_row({"SpanScope enter/exit", TextTable::num(scope_ns, 2),
                    delta(scope_ns)});
     table.add_row({"frame encode+scan, untraced",
@@ -503,6 +528,7 @@ int main() {
     report.add_metric("span.pair_off.ns", off_pair);
     report.add_metric("span.pair_off.overhead_ns", off_pair - baseline);
     report.add_metric("span.pair_on.ns", on_pair);
+    report.add_metric("span.pair_on_4t.ns", on_pair_4t);
     report.add_metric("span.scope.ns", scope_ns);
     report.add_metric("span.codec_untraced.ns", untraced_codec);
     report.add_metric("span.codec_traced.ns", traced_codec);

@@ -31,8 +31,10 @@
 // sharded update path.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <charconv>
 #include <cstdint>
 #include <iosfwd>
@@ -258,13 +260,7 @@ class Histogram {
   /// Bucket index for a value: 0 for v < 1, else 1 + floor(log2 v),
   /// clamped to the last bucket.
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t value) noexcept {
-    if (value == 0) return 0;
-    std::size_t b = 0;
-    while (value > 0 && b + 1 < kHistogramBuckets) {
-      value >>= 1;
-      ++b;
-    }
-    return b;
+    return std::min<std::size_t>(std::bit_width(value), kHistogramBuckets - 1);
   }
   /// Exclusive upper bound of bucket `b` (inf for the last).
   [[nodiscard]] static double bucket_upper(std::size_t b) noexcept;

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "obs/thread_slot.hpp"
 #include "support/check.hpp"
 
 namespace pdc::obs {
@@ -25,31 +28,58 @@ namespace {
 thread_local SpanContext t_ambient{};
 thread_local SpanContext t_incoming{};
 
-/// A closed span waiting for its trace's root to close. Name stays a
-/// borrowed literal until the trace is kept.
+/// A closed span as span_end() records it. Name stays a borrowed literal
+/// until the trace is kept; `seq` is the span's place in the process-wide
+/// close order.
 struct SpanRecord {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;
   std::uint64_t start_us = 0;
   std::uint64_t end_us = 0;
-  bool error = false;
+  std::uint64_t seq = 0;
   const char* name = nullptr;
+  bool error = false;
+};
+
+/// Records one thread's buffer holds; the append that fills it harvests.
+constexpr std::size_t kSpanBatch = 256;
+
+/// One thread's spans closed since the last harvest. Its mutex is taken
+/// by the owner thread and by harvests, never by another span_end().
+struct SpanBuffer {
+  std::mutex mutex;
+  bool open = false;  // false once the session it belongs to stopped
+  std::size_t size = 0;
+  std::array<SpanRecord, kSpanBatch> records;
+};
+
+/// Verdict of a completed trace, direct-mapped by trace id: a later trace
+/// whose id shares the slot overwrites it. trace_id 0 is an empty slot.
+struct Verdict {
+  std::uint64_t trace_id = 0;
+  bool kept = false;
 };
 
 struct SpanState {
   std::mutex mutex;
   bool running = false;
   SpanCollectorConfig config;
-  // Closed non-root spans buffered per trace until the root closes.
-  std::map<std::uint64_t, std::vector<SpanRecord>> pending;
+  std::vector<std::shared_ptr<SpanBuffer>> buffers;  // live session's
+  // Harvested records not yet settled, sorted by seq between harvests.
+  std::vector<SpanRecord> batch;
+  // Closed non-root spans whose root has not closed yet, in close order.
+  std::vector<SpanRecord> parked;
   // Kept traces ordered by (root latency, trace id): begin() is the
   // rotating tail-sampling threshold candidate.
   std::map<std::pair<std::uint64_t, std::uint64_t>, TraceSummary> kept;
-  // Verdict per completed trace, so spans closing after their root
-  // (asynchronous completions) still land — or are still dropped —
+  // Trace ids in `kept`, sorted: every span whose verdict is not in the
+  // table asks whether its trace is kept, and `kept` is keyed by latency.
+  std::vector<std::uint64_t> kept_ids;
+  // Verdicts of recently completed traces, so spans closing after their
+  // root (asynchronous completions) still land — or are still dropped —
   // on the right side of the ledger.
-  std::map<std::uint64_t, bool> classified;
+  std::array<Verdict, kSpanVerdictSlots> verdicts;
   std::array<std::optional<TraceExemplar>, kHistogramBuckets> exemplars;
   std::size_t kept_errors = 0;  // kept traces with the error tag
   std::uint64_t completed = 0;
@@ -64,6 +94,10 @@ SpanState& state() {
 }
 
 std::atomic<std::uint64_t> g_next_span_id{1};
+// Bumped at every SpanCollector::start(): threads then register a fresh
+// buffer for the new session.
+std::atomic<std::uint64_t> g_span_epoch{1};
+alignas(64) std::atomic<std::uint64_t> g_close_seq{0};
 
 void count_sampled(std::uint64_t n) { PDC_OBS_COUNT("pdc.span.sampled", n); }
 void count_dropped(std::uint64_t n) { PDC_OBS_COUNT("pdc.span.dropped", n); }
@@ -92,63 +126,97 @@ auto min_plain(SpanState& st) {
   return it;
 }
 
-/// Root span closed: assemble the tree, pass the tail-sampling verdict,
-/// and settle the span ledger for everything buffered. Caller holds the
-/// state mutex.
-void complete_trace(SpanState& st, const SpanRecord& root) {
-  TraceSummary trace;
-  trace.trace_id = root.trace_id;
-  trace.root_us = root.end_us - std::min(root.start_us, root.end_us);
-  auto buffered = st.pending.find(root.trace_id);
-  if (buffered != st.pending.end()) {
-    trace.spans.reserve(buffered->second.size() + 1);
-    for (const SpanRecord& record : buffered->second) {
-      trace.spans.push_back(to_node(record));
-      trace.error = trace.error || record.error;
-    }
-    st.pending.erase(buffered);
+/// The rotating threshold: 0 until the plain store is full.
+std::uint64_t threshold(SpanState& st) {
+  if (kept_plain(st) < st.config.keep_slowest) return 0;
+  auto it = min_plain(st);
+  return it == st.kept.end() ? 0 : it->first.first;
+}
+
+/// The `n` slowest kept traces, slowest first.
+std::vector<TraceSummary> slowest(const SpanState& st, std::size_t n) {
+  std::vector<TraceSummary> out;
+  out.reserve(std::min(n, st.kept.size()));
+  for (auto it = st.kept.rbegin(); it != st.kept.rend() && out.size() < n;
+       ++it) {
+    out.push_back(it->second);
   }
-  trace.spans.push_back(to_node(root));
-  trace.error = trace.error || root.error;
-  std::sort(trace.spans.begin(), trace.spans.end(),
-            [](const SpanNode& a, const SpanNode& b) {
-              return a.span_id < b.span_id;
-            });
+  return out;
+}
+
+bool is_kept(const SpanState& st, std::uint64_t trace_id) {
+  return std::binary_search(st.kept_ids.begin(), st.kept_ids.end(), trace_id);
+}
+
+Verdict& verdict_of(SpanState& st, std::uint64_t trace_id) {
+  return st.verdicts[trace_id % kSpanVerdictSlots];
+}
+
+/// Root span closed: pass the tail-sampling verdict from the root latency
+/// and the error tags, settle the span ledger for the trace's parked
+/// spans, and assemble the tree only when the trace is kept.
+void complete_trace(SpanState& st, const SpanRecord& root) {
+  const std::uint64_t root_us =
+      root.end_us - std::min(root.start_us, root.end_us);
+  const auto in_trace = [&root](const SpanRecord& record) {
+    return record.trace_id == root.trace_id;
+  };
+  std::uint64_t spans = 1;
+  bool error = root.error;
+  for (const SpanRecord& record : st.parked) {
+    if (!in_trace(record)) continue;
+    ++spans;
+    error = error || record.error;
+  }
 
   ++st.completed;
-  PDC_OBS_HIST("pdc.trace.root_us", trace.root_us);
+  PDC_OBS_HIST("pdc.trace.root_us", root_us);
 
-  bool keep = false;
-  if (trace.error) {
-    // Error traces are always kept and never evicted: the whole point of
-    // tail sampling is that the interesting tail survives.
-    keep = true;
-  } else if (kept_plain(st) < st.config.keep_slowest) {
-    keep = true;
-  } else {
+  // Error traces are always kept and never evicted: the whole point of
+  // tail sampling is that the interesting tail survives.
+  bool keep = error || kept_plain(st) < st.config.keep_slowest;
+  if (!keep) {
     auto min_it = min_plain(st);
-    if (min_it != st.kept.end() && trace.root_us > min_it->first.first) {
+    if (min_it != st.kept.end() && root_us > min_it->first.first) {
       st.kept_count -= 1;
       ++st.evicted_count;
+      st.kept_ids.erase(std::lower_bound(st.kept_ids.begin(),
+                                         st.kept_ids.end(),
+                                         min_it->first.second));
       st.kept.erase(min_it);
       keep = true;
     }
   }
 
-  const std::uint64_t spans = trace.spans.size();
-  st.classified[trace.trace_id] = keep;
+  verdict_of(st, root.trace_id) = Verdict{root.trace_id, keep};
   if (keep) {
+    TraceSummary trace;
+    trace.trace_id = root.trace_id;
+    trace.root_us = root_us;
+    trace.error = error;
+    trace.spans.reserve(spans);
+    for (const SpanRecord& record : st.parked) {
+      if (in_trace(record)) trace.spans.push_back(to_node(record));
+    }
+    trace.spans.push_back(to_node(root));
+    std::sort(trace.spans.begin(), trace.spans.end(),
+              [](const SpanNode& a, const SpanNode& b) {
+                return a.span_id < b.span_id;
+              });
     ++st.kept_count;
-    if (trace.error) ++st.kept_errors;
-    const std::size_t bucket = Histogram::bucket_of(trace.root_us);
-    st.exemplars[bucket] = TraceExemplar{trace.trace_id, trace.root_us};
-    st.kept.emplace(std::make_pair(trace.root_us, trace.trace_id),
-                    std::move(trace));
+    if (error) ++st.kept_errors;
+    st.exemplars[Histogram::bucket_of(root_us)] =
+        TraceExemplar{root.trace_id, root_us};
+    st.kept_ids.insert(std::lower_bound(st.kept_ids.begin(),
+                                        st.kept_ids.end(), root.trace_id),
+                       root.trace_id);
+    st.kept.emplace(std::make_pair(root_us, root.trace_id), std::move(trace));
     count_sampled(spans);
   } else {
     ++st.dropped_count;
     count_dropped(spans);
   }
+  if (spans > 1) std::erase_if(st.parked, in_trace);
 }
 
 /// A span closed after its trace was already classified: kept traces
@@ -161,16 +229,139 @@ void settle_late(SpanState& st, const SpanRecord& record, bool kept) {
   count_sampled(1);
   for (auto& [key, trace] : st.kept) {
     if (key.second != record.trace_id) continue;
-    trace.spans.push_back(to_node(record));
+    // Insert in span-id order: a trace absorbing many late spans (a
+    // replication storm) must not re-sort its whole tree for each one.
+    trace.spans.insert(
+        std::upper_bound(trace.spans.begin(), trace.spans.end(),
+                         record.span_id,
+                         [](std::uint64_t id, const SpanNode& span) {
+                           return id < span.span_id;
+                         }),
+        to_node(record));
     trace.error = trace.error || record.error;
-    std::sort(trace.spans.begin(), trace.spans.end(),
-              [](const SpanNode& a, const SpanNode& b) {
-                return a.span_id < b.span_id;
-              });
     return;
   }
   // Kept once but since evicted: the ledger already called its siblings
   // sampled, stay consistent.
+}
+
+/// A non-root span whose trace has no verdict yet waits for its root. A
+/// full parked vector drops its oldest quarter, which mostly belongs to
+/// roots that will never close (or to traces whose verdict was forgotten).
+void park(SpanState& st, const SpanRecord& record) {
+  if (st.parked.size() >= kSpanParkedCapacity) {
+    constexpr std::size_t kStale = kSpanParkedCapacity / 4;
+    count_dropped(kStale);
+    st.parked.erase(st.parked.begin(), st.parked.begin() + kStale);
+  }
+  st.parked.push_back(record);
+}
+
+/// Feeds one closed span to the tail sampler; records arrive in close
+/// order, so a root sees every span of its trace that closed before it.
+void settle(SpanState& st, const SpanRecord& record) {
+  const Verdict& verdict = verdict_of(st, record.trace_id);
+  if (verdict.trace_id == record.trace_id) {
+    settle_late(st, record, verdict.kept);
+  } else if (is_kept(st, record.trace_id)) {
+    settle_late(st, record, true);  // a kept trace whose verdict aged out
+  } else if (record.parent_id == 0) {
+    complete_trace(st, record);
+  } else {
+    park(st, record);
+  }
+}
+
+/// Moves every thread's buffered spans into st.batch and settles, in
+/// close order, each one whose sequence number is below the counter read
+/// on entry: all of those are already appended (each thread takes its
+/// number and appends under its buffer lock). A later record may still
+/// have a smaller-numbered twin in flight on another thread, so it waits
+/// for the next harvest. `closing` (stop()) closes every buffer first;
+/// nothing can arrive after that, so everything settles. Caller holds
+/// st.mutex.
+void harvest(SpanState& st, bool closing = false) {
+  if (!st.running) return;
+  const std::uint64_t horizon =
+      closing ? UINT64_MAX : g_close_seq.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < st.buffers.size();) {
+    // Read before draining: when only this list holds a buffer, its
+    // thread is gone and the drain below sees its last append.
+    const bool orphaned = st.buffers[i].use_count() == 1;
+    SpanBuffer& buffer = *st.buffers[i];
+    {
+      std::scoped_lock lock(buffer.mutex);
+      st.batch.insert(st.batch.end(), buffer.records.begin(),
+                      buffer.records.begin() +
+                          static_cast<std::ptrdiff_t>(buffer.size));
+      buffer.size = 0;
+      buffer.open = !closing;
+    }
+    if (orphaned) {
+      st.buffers[i] = std::move(st.buffers.back());
+      st.buffers.pop_back();
+    } else {
+      ++i;
+    }
+  }
+  std::sort(st.batch.begin(), st.batch.end(),
+            [](const SpanRecord& a, const SpanRecord& b) {
+              return a.seq < b.seq;
+            });
+  const auto ready =
+      std::partition_point(st.batch.begin(), st.batch.end(),
+                           [horizon](const SpanRecord& record) {
+                             return record.seq < horizon;
+                           });
+  for (auto it = st.batch.begin(); it != ready; ++it) settle(st, *it);
+  st.batch.erase(st.batch.begin(), ready);
+}
+
+/// Locks the state and settles every span closed so far: the entry of
+/// every reader.
+std::unique_lock<std::mutex> settled(SpanState& st) {
+  std::unique_lock lock(st.mutex);
+  harvest(st);
+  return lock;
+}
+
+/// The calling thread's buffer for the current session. A thread's first
+/// span_end() after stop() gets a closed buffer that no list holds.
+SpanBuffer& current_buffer() {
+  return thread_slot<SpanBuffer>(
+      g_span_epoch, [](const std::shared_ptr<SpanBuffer>& buffer) {
+        auto& st = state();
+        std::scoped_lock lock(st.mutex);
+        if (!st.running) return;
+        buffer->open = true;  // not shared with any other thread yet
+        st.buffers.push_back(buffer);
+      });
+}
+
+/// span_end()'s recording step: one fixed-size append under the calling
+/// thread's own buffer lock. Only the append that fills the buffer goes
+/// on to harvest under the collector lock. Out of line, so that
+/// span_end() on a span that is not recording stays a test and a return.
+[[gnu::noinline]] void record_closed(SpanRecord record) {
+  SpanBuffer& buffer = current_buffer();
+  bool open = false;
+  {
+    std::scoped_lock lock(buffer.mutex);
+    open = buffer.open;
+    if (open) {
+      record.seq = g_close_seq.fetch_add(1, std::memory_order_relaxed);
+      buffer.records[buffer.size++] = record;
+      if (buffer.size < kSpanBatch) return;
+    }
+  }
+  if (!open) {
+    // Session ended while the span was open: finished, never sampled.
+    count_dropped(1);
+    return;
+  }
+  auto& st = state();
+  std::scoped_lock lock(st.mutex);
+  harvest(st);
 }
 
 }  // namespace
@@ -230,22 +421,7 @@ void span_end(ActiveSpan& span, bool error) {
   record.name = span.name_;
   span.ctx_ = SpanContext{};  // stops recording; double-close is a no-op
   PDC_OBS_COUNT("pdc.span.finished");
-
-  auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
-  if (!st.running) {
-    // Session ended while the span was open: finished, never sampled.
-    detail::count_dropped(1);
-    return;
-  }
-  auto verdict = st.classified.find(record.trace_id);
-  if (verdict != st.classified.end()) {
-    detail::settle_late(st, record, verdict->second);
-  } else if (record.parent_id == 0) {
-    detail::complete_trace(st, record);
-  } else {
-    st.pending[record.trace_id].push_back(record);
-  }
+  detail::record_closed(record);
 }
 
 SpanContext current_span() noexcept { return detail::t_ambient; }
@@ -270,9 +446,12 @@ void SpanCollector::start() {
   std::scoped_lock lock(st.mutex);
   PDC_CHECK_MSG(!st.running, "only one SpanCollector may run at a time");
   st.config = config_;
-  st.pending.clear();
+  st.buffers.clear();
+  st.batch.clear();
+  st.parked.clear();
   st.kept.clear();
-  st.classified.clear();
+  st.kept_ids.clear();
+  st.verdicts.fill(detail::Verdict{});
   st.exemplars.fill(std::nullopt);
   st.kept_errors = 0;
   st.completed = 0;
@@ -280,6 +459,7 @@ void SpanCollector::start() {
   st.dropped_count = 0;
   st.evicted_count = 0;
   detail::g_next_span_id.store(1, std::memory_order_relaxed);
+  detail::g_span_epoch.fetch_add(1, std::memory_order_release);
   if constexpr (kObsEnabled) {
     // Conservation counters and the exemplar histogram exist from the
     // first scrape on, whether or not a span ever closes.
@@ -300,65 +480,58 @@ void SpanCollector::stop() {
   detail::g_span_enabled.store(false, std::memory_order_release);
   auto& st = detail::state();
   std::scoped_lock lock(st.mutex);
-  // Roots that never closed: their buffered spans finished but can no
+  detail::harvest(st, /*closing=*/true);
+  // Roots that never closed: their parked spans finished but can no
   // longer be sampled — settle them as dropped so the ledger balances.
-  for (const auto& [trace_id, records] : st.pending) {
-    detail::count_dropped(records.size());
-    ++st.dropped_count;
-    st.classified[trace_id] = false;
-  }
-  st.pending.clear();
+  std::set<std::uint64_t> open_roots;
+  for (const auto& record : st.parked) open_roots.insert(record.trace_id);
+  detail::count_dropped(st.parked.size());
+  st.dropped_count += open_roots.size();
+  st.parked.clear();
+  st.buffers.clear();
   st.running = false;
   running_ = false;
 }
 
 std::uint64_t SpanCollector::traces_completed() const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
+  const auto lock = detail::settled(st);
   return st.completed;
 }
 
 std::uint64_t SpanCollector::traces_kept() const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
+  const auto lock = detail::settled(st);
   return st.kept_count;
 }
 
 std::uint64_t SpanCollector::traces_dropped() const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
+  const auto lock = detail::settled(st);
   return st.dropped_count;
 }
 
 std::uint64_t SpanCollector::traces_evicted() const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
+  const auto lock = detail::settled(st);
   return st.evicted_count;
 }
 
 std::uint64_t SpanCollector::threshold_us() const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
-  if (detail::kept_plain(st) < st.config.keep_slowest) return 0;
-  auto it = detail::min_plain(st);
-  return it == st.kept.end() ? 0 : it->first.first;
+  const auto lock = detail::settled(st);
+  return detail::threshold(st);
 }
 
 std::vector<TraceSummary> SpanCollector::slowest(std::size_t n) const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
-  std::vector<TraceSummary> out;
-  out.reserve(std::min(n, st.kept.size()));
-  for (auto it = st.kept.rbegin(); it != st.kept.rend() && out.size() < n;
-       ++it) {
-    out.push_back(it->second);
-  }
-  return out;
+  const auto lock = detail::settled(st);
+  return detail::slowest(st, n);
 }
 
 std::optional<TraceSummary> SpanCollector::by_id(std::uint64_t trace_id) const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
+  const auto lock = detail::settled(st);
   for (const auto& [key, trace] : st.kept) {
     if (key.second == trace_id) return trace;
   }
@@ -368,7 +541,7 @@ std::optional<TraceSummary> SpanCollector::by_id(std::uint64_t trace_id) const {
 std::array<std::optional<TraceExemplar>, kHistogramBuckets>
 SpanCollector::exemplars() const {
   auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
+  const auto lock = detail::settled(st);
   return st.exemplars;
 }
 
@@ -487,19 +660,20 @@ std::string trace_json(const TraceSummary& trace) {
 }
 
 std::string SpanCollector::slowest_json(std::size_t n) const {
-  const std::vector<TraceSummary> traces = slowest(n);
-  auto& st = detail::state();
-  std::scoped_lock lock(st.mutex);
-  std::string out = "{\"kept\":" + std::to_string(st.kept_count);
-  out += ",\"dropped\":" + std::to_string(st.dropped_count);
-  out += ",\"evicted\":" + std::to_string(st.evicted_count);
-  out += ",\"completed\":" + std::to_string(st.completed);
-  std::uint64_t threshold = 0;
-  if (detail::kept_plain(st) >= st.config.keep_slowest) {
-    auto it = detail::min_plain(st);
-    if (it != st.kept.end()) threshold = it->first.first;
+  // Counts and traces come from one locked snapshot, so a harvest cannot
+  // fall between them; the rendering runs after the lock is released.
+  std::vector<TraceSummary> traces;
+  std::string out;
+  {
+    auto& st = detail::state();
+    const auto lock = detail::settled(st);
+    traces = detail::slowest(st, n);
+    out = "{\"kept\":" + std::to_string(st.kept_count);
+    out += ",\"dropped\":" + std::to_string(st.dropped_count);
+    out += ",\"evicted\":" + std::to_string(st.evicted_count);
+    out += ",\"completed\":" + std::to_string(st.completed);
+    out += ",\"threshold_us\":" + std::to_string(detail::threshold(st));
   }
-  out += ",\"threshold_us\":" + std::to_string(threshold);
   out += ",\"traces\":[";
   for (std::size_t i = 0; i < traces.size(); ++i) {
     if (i != 0) out += ',';

@@ -13,12 +13,15 @@
 //
 //  2. SpanCollector — a per-process session (same lifecycle contract as
 //     TraceCollector: one running at a time, start() resets all session
-//     counters so fixed-seed sim runs are byte-stable). Completed span
-//     trees go through *tail-based sampling*: a trace is kept when its
+//     counters so fixed-seed sim runs are byte-stable). span_end() only
+//     appends a fixed-size record to the calling thread's span buffer;
+//     harvests feed the records to the sampler in close order. Completed
+//     traces go through *tail-based sampling*: a trace is kept when its
 //     root latency beats the rotating threshold (the smallest root
 //     latency currently kept, once the store is full) or when any span
 //     carries an error tag; everything else is dropped with exact
-//     accounting (pdc.span.sampled + pdc.span.dropped == pdc.span.finished).
+//     accounting (pdc.span.sampled + pdc.span.dropped == pdc.span.finished,
+//     exact at stop(); a mid-session scrape lags by the unharvested spans).
 //     Kept traces are annotated with their *critical path* — the longest
 //     causal chain through the tree, with per-span self-time so "queued
 //     in shard ready-list" vs "raft replication" vs "apply" attribution
@@ -118,10 +121,12 @@ class ActiveSpan {
 [[nodiscard]] ActiveSpan span_begin(const char* name, SpanContext parent,
                                     std::uint64_t start_us = 0);
 
-/// Closes a span and hands the record to the running collector. A root
-/// span's end triggers trace assembly + the tail-sampling verdict.
-/// No-op on a non-recording span; the span stops recording afterwards,
-/// so double-close is harmless.
+/// Closes a span: appends its record to the calling thread's span buffer
+/// under that buffer's own lock, allocating nothing once the buffer
+/// exists. The call whose append fills the buffer then harvests under the
+/// collector lock; the tail-sampling verdict comes at a harvest (see
+/// SpanCollector). No-op on a non-recording span; the span stops
+/// recording afterwards, so double-close is harmless.
 void span_end(ActiveSpan& span, bool error = false);
 
 /// Ambient span context for the calling thread. wire_capture() stamps it
@@ -215,6 +220,17 @@ struct TraceExemplar {
   std::uint64_t root_us = 0;
 };
 
+/// Completed traces whose verdict the collector remembers, for spans that
+/// close after their root: slot = trace id mod this, so sequential ids
+/// keep the last kSpanVerdictSlots verdicts. A late span whose verdict
+/// was overwritten waits as if its root were still open, and counts
+/// dropped (unless its trace is still kept, which absorbs it).
+inline constexpr std::size_t kSpanVerdictSlots = 4096;
+
+/// Closed spans that may wait for their root to close. When full, the
+/// oldest quarter is counted dropped.
+inline constexpr std::size_t kSpanParkedCapacity = 4096;
+
 struct SpanCollectorConfig {
   /// Tail-sampling store size: once full, a new error-free trace must
   /// beat the smallest kept root latency (the rotating threshold) to be
@@ -224,8 +240,14 @@ struct SpanCollectorConfig {
 
 /// A span session. Same shape as TraceCollector: construction does
 /// nothing, start() begins recording process-wide (one session at a
-/// time, checked), stop() ends it; render after (or during — renderers
-/// lock against concurrent span_end) the session.
+/// time, checked), stop() ends it; render after or during the session.
+///
+/// A *harvest* drains every thread's span buffer under the collector's
+/// lock and settles the records in close order. It runs when a thread's
+/// buffer fills (256 records), at the start of every reader below, and
+/// inside stop(). A record that took its close number after the harvest
+/// began waits for the next one, so every verdict sees each span of its
+/// trace that closed before the root did.
 class SpanCollector {
  public:
   explicit SpanCollector(SpanCollectorConfig config = {});
@@ -239,9 +261,10 @@ class SpanCollector {
   /// the pdc.trace.root_us histogram eagerly so scrapes are stable.
   void start();
 
-  /// Uninstalls the sink. Spans still open are counted dropped when they
-  /// eventually close; buffered spans of never-closed roots are counted
-  /// dropped immediately. Kept traces stay renderable after stop().
+  /// Uninstalls the sink after a final harvest. Spans still open are
+  /// counted dropped when they eventually close; parked spans of
+  /// never-closed roots are counted dropped immediately. Kept traces stay
+  /// renderable after stop().
   void stop();
   [[nodiscard]] bool running() const { return running_; }
 

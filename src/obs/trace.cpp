@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "obs/thread_slot.hpp"
 #include "support/check.hpp"
 #include "testkit/hooks.hpp"
 
@@ -62,25 +63,16 @@ TraceState& state() {
   return instance;
 }
 
-/// The calling thread's ring for the current session, registering one on
-/// first touch. Registration order is the track order in the export —
-/// deterministic under SimScheduler because only one thread runs at a
-/// time. The thread_local holds shared ownership so a ring stays valid
-/// for a thread that outlives the session that created it.
+/// The calling thread's ring for the current session. Registration order
+/// is the track order in the export.
 Ring& current_ring() {
-  thread_local std::shared_ptr<Ring> ring;
-  thread_local std::uint64_t ring_epoch = 0;
-  const std::uint64_t epoch = g_session_epoch.load(std::memory_order_acquire);
-  if (!ring || ring_epoch != epoch) {
-    auto fresh = std::make_shared<Ring>();
-    auto& st = state();
-    std::scoped_lock lock(st.mutex);
-    fresh->tid = st.next_tid++;
-    st.rings.push_back(fresh);
-    ring = std::move(fresh);
-    ring_epoch = epoch;
-  }
-  return *ring;
+  return thread_slot<Ring>(
+      g_session_epoch, [](const std::shared_ptr<Ring>& ring) {
+        auto& st = state();
+        std::scoped_lock lock(st.mutex);
+        ring->tid = st.next_tid++;
+        st.rings.push_back(ring);
+      });
 }
 
 void append(Ring& ring, TraceEvent event) {

@@ -101,6 +101,29 @@ TEST(Metrics, HistogramBucketsPowersOfTwo) {
   EXPECT_EQ(sample->buckets[7], 1u);
 }
 
+// bucket_of is one bit_width; the shift loop it replaced is the reference
+// for the bucket layout (every power-of-two edge, both sides, and the
+// clamped tail).
+TEST(Metrics, HistogramBucketOfMatchesTheShiftLoop) {
+  const auto shift_loop = [](std::uint64_t value) -> std::size_t {
+    if (value == 0) return 0;
+    std::size_t b = 0;
+    while (value > 0 && b + 1 < obs::kHistogramBuckets) {
+      value >>= 1;
+      ++b;
+    }
+    return b;
+  };
+  std::vector<std::uint64_t> values = {0, 1, UINT64_MAX};
+  for (int k = 0; k < 64; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << k;
+    values.insert(values.end(), {edge - 1, edge, edge + 1});
+  }
+  for (const std::uint64_t v : values) {
+    EXPECT_EQ(obs::Histogram::bucket_of(v), shift_loop(v)) << "value " << v;
+  }
+}
+
 // The pool's queue-depth gauge must balance: +1 per accepted task, -1 per
 // dequeue. Before PR 3 the add happened before the accept decision, so a
 // rejected post could leave the gauge permanently skewed; now acceptance

@@ -6,8 +6,9 @@
 // The sim test runs a real 3-rank ReplicatedKV under testkit::SimScheduler
 // with traced client ops: with a fixed seed the rendered span trees —
 // timestamps, span ids, critical paths — must be byte-identical across
-// runs. The stress test closes spans from free-running threads while a
-// scraper renders; under the tsan preset it doubles as the race check.
+// runs. The stress tests close spans from free-running threads while a
+// scraper renders or the session stops; under the tsan preset they double
+// as the race check.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -565,6 +566,128 @@ TEST(LoadGenRouting, FollowsRedirectsToTheLeaderBeforeTheStorm) {
   leader.stop();
 }
 
+// ------------------------------------------------ close order, bounds
+
+// Thread B registers its span buffer first (it closes the store-filling
+// trace), then thread A closes an error child, then B closes the child's
+// root, with no reader in between. Settled buffer by buffer, the root
+// would come first and the fast trace would be dropped; settled in close
+// order it is kept as an error trace with both spans.
+TEST(SpanOrder, ErrorChildClosedOnAnotherThreadReachesItsRootsVerdict) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  MetricsRegistry::instance().reset();
+  obs::SpanCollectorConfig config;
+  config.keep_slowest = 1;
+  obs::SpanCollector collector(config);
+  collector.start();
+  // Floor the young clock first, so trace 2 stays far faster than trace 1.
+  while (obs::now_us() < 50'000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto root = obs::span_root("request", 2);  // fast: dropped unless error
+  const SpanContext root_ctx = root.context();
+  std::atomic<int> step{0};
+  std::thread b([&] {
+    complete_trace_with_latency(1, 50'000);  // fills the plain store
+    step.store(1);
+    while (step.load() != 2) std::this_thread::yield();
+    obs::span_end(root);
+  });
+  while (step.load() != 1) std::this_thread::yield();
+  std::thread a([root_ctx] {
+    auto child = obs::span_begin("server.drain", root_ctx);
+    obs::span_end(child, /*error=*/true);
+  });
+  a.join();
+  step.store(2);
+  b.join();
+
+  const auto trace = collector.by_id(2);
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_TRUE(trace->error);
+  EXPECT_EQ(trace->spans.size(), 2u);
+  EXPECT_EQ(collector.traces_kept(), 2u);
+  EXPECT_EQ(collector.traces_dropped(), 0u);
+  collector.stop();
+  const auto snapshot = MetricsRegistry::instance().scrape();
+  EXPECT_EQ(snapshot.counter("pdc.span.sampled"), 3u);
+  EXPECT_EQ(snapshot.counter("pdc.span.dropped"), 0u);
+}
+
+// Trace 1 is kept and trace 2 dropped, each with a child still open; then
+// kSpanVerdictSlots more traces complete, overwriting both verdicts. The
+// late child of the dropped trace waits as if its root were open and
+// counts dropped at stop(); the kept trace absorbs its late child.
+TEST(SpanBounds, LateSpansAfterTheVerdictTableWraps) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  MetricsRegistry::instance().reset();
+  obs::SpanCollectorConfig config;
+  config.keep_slowest = 1;
+  obs::SpanCollector collector(config);
+  collector.start();
+  while (obs::now_us() < 50'000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto kept_root = obs::span_root("request", 1, obs::now_us() - 50'000);
+  auto kept_child = obs::span_begin("raft.apply", kept_root.context());
+  obs::span_end(kept_root);
+  auto dropped_root = obs::span_root("request", 2);
+  auto dropped_child = obs::span_begin("raft.apply", dropped_root.context());
+  obs::span_end(dropped_root);
+  constexpr std::uint64_t kSlots = obs::kSpanVerdictSlots;
+  for (std::uint64_t id = 3; id < 3 + kSlots; ++id) {
+    auto root = obs::span_root("request", id);
+    obs::span_end(root);
+  }
+  obs::span_end(dropped_child);
+  obs::span_end(kept_child);
+
+  const auto kept = collector.by_id(1);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->spans.size(), 2u);
+  EXPECT_EQ(collector.traces_completed(), kSlots + 2);
+  collector.stop();
+  const auto snapshot = MetricsRegistry::instance().scrape();
+  EXPECT_EQ(snapshot.counter("pdc.span.finished"), kSlots + 4);
+  EXPECT_EQ(snapshot.counter("pdc.span.sampled"), 2u);
+  EXPECT_EQ(snapshot.counter("pdc.span.dropped"), kSlots + 2);
+}
+
+// Children of roots that never close fill the parked vector past its
+// capacity. The overflow counts dropped at once, a trace completing after
+// it still gets its whole tree, and stop() settles the rest.
+TEST(SpanBounds, ParkedOverflowFromRootsThatNeverCloseBalancesTheLedger) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  MetricsRegistry::instance().reset();
+  obs::SpanCollector collector;
+  collector.start();
+  constexpr std::uint64_t kOrphans =
+      obs::kSpanParkedCapacity + obs::kSpanParkedCapacity / 2;
+  std::vector<obs::ActiveSpan> roots;  // never closed
+  roots.reserve(kOrphans);
+  for (std::uint64_t id = 1; id <= kOrphans; ++id) {
+    roots.push_back(obs::span_root("request", id));
+    auto child = obs::span_begin("server.drain", roots.back().context());
+    obs::span_end(child);
+  }
+  auto root = obs::span_root("request", kOrphans + 1);
+  auto child = obs::span_begin("server.drain", root.context());
+  obs::span_end(child);
+  obs::span_end(root);
+
+  const auto trace = collector.by_id(kOrphans + 1);
+  ASSERT_TRUE(trace.has_value());
+  EXPECT_EQ(trace->spans.size(), 2u);
+  const auto mid = MetricsRegistry::instance().scrape();
+  EXPECT_GE(mid.counter("pdc.span.dropped"),
+            kOrphans - obs::kSpanParkedCapacity);
+  collector.stop();
+  const auto snapshot = MetricsRegistry::instance().scrape();
+  EXPECT_EQ(snapshot.counter("pdc.span.finished"), kOrphans + 2);
+  EXPECT_EQ(snapshot.counter("pdc.span.sampled"), 2u);
+  EXPECT_EQ(snapshot.counter("pdc.span.dropped"), kOrphans);
+}
+
 // -------------------------------------------------------------- stress
 
 // Free-running producers close spans while a scraper renders the kept
@@ -615,6 +738,50 @@ TEST(SpanStress, ConcurrentFinishVersusSlowestScrape) {
   const auto snapshot = MetricsRegistry::instance().scrape();
   // Conservation: everything started finished, everything finished is
   // accounted sampled or dropped — no span leaks under contention.
+  EXPECT_EQ(snapshot.counter("pdc.span.started"),
+            snapshot.counter("pdc.span.finished"));
+  EXPECT_EQ(snapshot.counter("pdc.span.sampled") +
+                snapshot.counter("pdc.span.dropped"),
+            snapshot.counter("pdc.span.finished"));
+}
+
+// Producers keep closing root+child pairs while stop() runs: spans that
+// close after the final harvest count dropped, so the ledger is exact.
+TEST(SpanStress, StopWhileProducersCloseSpansKeepsTheLedgerExact) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  MetricsRegistry::instance().reset();
+  obs::SpanCollectorConfig config;
+  config.keep_slowest = 16;
+  obs::SpanCollector collector(config);
+  collector.start();
+
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kPairsEachSide = 2'000;
+  std::atomic<bool> producing{true};
+  std::atomic<std::uint64_t> pairs{0};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kThreads; ++t) {
+    producers.emplace_back([t, &producing, &pairs] {
+      for (std::uint64_t i = 1; producing.load(std::memory_order_relaxed);
+           ++i) {
+        auto root = obs::span_root(
+            "request", static_cast<std::uint64_t>(t) * 1'000'000'000 + i);
+        auto child = obs::span_begin("server.drain", root.context());
+        obs::span_end(child, i % 97 == 0);
+        obs::span_end(root);
+        pairs.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (pairs.load() < kPairsEachSide) std::this_thread::yield();
+  collector.stop();
+  const std::uint64_t at_stop = pairs.load();
+  while (pairs.load() < at_stop + kPairsEachSide) std::this_thread::yield();
+  producing.store(false, std::memory_order_relaxed);
+  for (auto& producer : producers) producer.join();
+
+  const auto snapshot = MetricsRegistry::instance().scrape();
+  EXPECT_GT(snapshot.counter("pdc.span.sampled"), 0u);
   EXPECT_EQ(snapshot.counter("pdc.span.started"),
             snapshot.counter("pdc.span.finished"));
   EXPECT_EQ(snapshot.counter("pdc.span.sampled") +
