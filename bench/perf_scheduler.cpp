@@ -8,6 +8,10 @@
 //   2. fork/join latency: a binary task tree forked from inside workers —
 //      the owner push/pop fast path plus the steal path, the shape
 //      parallel sorts and task graphs generate.
+//   3. hot-owner flood: one worker spawns every task, peers must steal.
+//   4. the ThreadPool front (post/shutdown over the same scheduler):
+//      external post→run throughput, and the latency of one parallel_for
+//      call (post the runners, run the caller's share, join on a latch).
 //
 // The baseline pool below deliberately reproduces the pre-PR-3 scheduler:
 // one std::mutex per worker deque, std::function tasks, lock-the-victim
@@ -31,6 +35,8 @@
 #include <vector>
 
 #include "obs/bench_report.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 #include "parallel/work_stealing.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -234,6 +240,44 @@ double hot_owner_flood_per_second(Pool& pool) {
   return kFlood / seconds;
 }
 
+constexpr int kForCalls = 2000;
+constexpr std::size_t kForRange = 4096;
+
+/// External post→run throughput on the ThreadPool: every task enters
+/// through the injection queue from this non-worker thread, and the clock
+/// stops when the last one has run (the poster never helps).
+double post_tasks_per_second(pdc::parallel::ThreadPool& pool) {
+  alignas(64) static std::atomic<int> sink{0};
+  sink.store(0, std::memory_order_relaxed);
+  Stopwatch timer;
+  for (int i = 0; i < kSpawnTasks; ++i) {
+    (void)pool.post([] { sink.fetch_add(1, std::memory_order_relaxed); });
+  }
+  while (sink.load(std::memory_order_relaxed) != kSpawnTasks) {
+    std::this_thread::yield();
+  }
+  return static_cast<double>(kSpawnTasks) / timer.elapsed_seconds();
+}
+
+/// Latency of one parallel_for call over kForRange indices with a
+/// one-add body: scheduling cost, not compute.
+double parallel_for_us_per_call(pdc::parallel::ThreadPool& pool) {
+  std::vector<std::uint64_t> data(kForRange, 0);
+  Stopwatch timer;
+  for (int call = 0; call < kForCalls; ++call) {
+    pdc::parallel::parallel_for(pool, 0, kForRange,
+                                [&data](std::size_t i) { data[i] += 1; });
+  }
+  const double us = timer.elapsed_micros() / kForCalls;
+  for (const std::uint64_t v : data) {
+    if (v != static_cast<std::uint64_t>(kForCalls)) {
+      std::cerr << "parallel_for probe missed an index\n";
+      std::exit(1);
+    }
+  }
+  return us;
+}
+
 std::string tkey(std::size_t threads) {
   return "t" + std::to_string(threads);
 }
@@ -255,6 +299,10 @@ int main() {
       "3. Hot-owner flood (tasks/s; thieves batch-steal half the backlog)");
   flood_table.set_header(
       {"threads", "mutexed deques", "lock-free", "speedup"});
+  TextTable pool_table(
+      "4. ThreadPool front (external post->run tasks/s; parallel_for us per "
+      "4096-index call)");
+  pool_table.set_header({"threads", "post->run", "parallel_for"});
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
@@ -279,6 +327,15 @@ int main() {
       if (threads > 1) lockfree_flood = hot_owner_flood_per_second(pool);
     }
 
+    double pool_post = 0.0;
+    double pool_for = 0.0;
+    {
+      pdc::parallel::ThreadPool pool(threads);
+      post_tasks_per_second(pool);  // warmup
+      pool_post = post_tasks_per_second(pool);
+      pool_for = parallel_for_us_per_call(pool);
+    }
+
     const double spawn_speedup = lockfree_spawn / mutex_spawn;
     const double fork_speedup = mutex_fork / lockfree_fork;
     const std::string key = tkey(threads);
@@ -288,6 +345,8 @@ int main() {
     report.add_metric("forkjoin.mutex." + key + ".us", mutex_fork);
     report.add_metric("forkjoin.lockfree." + key + ".us", lockfree_fork);
     report.add_metric("forkjoin_speedup_vs_mutex." + key, fork_speedup);
+    report.add_metric("post.threadpool." + key + ".per_s", pool_post);
+    report.add_metric("parallel_for.threadpool." + key + ".us", pool_for);
 
     spawn_table.add_row({std::to_string(threads),
                          TextTable::num(mutex_spawn / 1e6, 2) + "M/s",
@@ -297,6 +356,9 @@ int main() {
                         TextTable::num(mutex_fork, 0),
                         TextTable::num(lockfree_fork, 0),
                         TextTable::num(fork_speedup, 2) + "x"});
+    pool_table.add_row({std::to_string(threads),
+                        TextTable::num(pool_post / 1e6, 2) + "M/s",
+                        TextTable::num(pool_for, 1)});
     if (threads > 1) {
       const double flood_speedup = lockfree_flood / mutex_flood;
       report.add_metric("flood.mutex." + key + ".per_s", mutex_flood);
@@ -322,7 +384,12 @@ int main() {
   report.add_table(flood_table);
   std::cout << "(all tasks land in one worker's deque; peers batch-steal up "
                "to half the backlog per sweep — see docs/scheduler.md, 'Why "
-               "steal-half is a loop, not one CAS')\n";
+               "steal-half is a loop, not one CAS')\n\n";
+  pool_table.render(std::cout);
+  report.add_table(pool_table);
+  std::cout << "(ThreadPool is a post/shutdown front on the same "
+               "work-stealing scheduler; posts from outside go through the "
+               "injection queue)\n";
 
   report.write_if_requested();
   return 0;

@@ -34,7 +34,7 @@ using namespace pdc;
 namespace {
 
 // Part 1: make the runtime's own instrumentation light up — contended
-// lock acquisitions and thread-pool queue depth / task timings.
+// lock acquisitions and thread-pool spawn/run/steal counts.
 void warm_up_runtime_metrics() {
   concurrency::TtasLock lock;
   long shared = 0;

@@ -18,9 +18,10 @@ using Payload = std::vector<std::byte>;
 
 /// Envelope carried with every payload. `context` isolates communicators
 /// and separates collective traffic from user point-to-point traffic.
-/// `trace` piggybacks the sender's causal metadata (span id + Lamport
-/// time) so an obs::TraceCollector can stitch send→recv across ranks;
-/// it is all-zero (and free) when no collector is running.
+/// `trace` piggybacks the sender's causal metadata (Lamport time + flow
+/// id, plus the request-trace context) so an obs::TraceCollector can
+/// stitch send→recv across ranks; it is all-zero (and free) when no
+/// collector is running.
 struct Envelope {
   std::uint32_t context = 0;
   int source = 0;

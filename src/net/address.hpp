@@ -26,8 +26,8 @@ struct Address {
 };
 
 /// A delivered datagram. `trace` carries the sender's causal metadata
-/// (span + Lamport time) for obs trace stitching; all-zero when no
-/// collector is running.
+/// (Lamport time + flow id, plus the request-trace context) for obs trace
+/// stitching; all-zero when no collector is running.
 struct Datagram {
   Address from;
   Bytes payload;

@@ -52,33 +52,3 @@
   } while (0)
 
 #endif  // PDCKIT_OBS_NOOP
-
-namespace pdc::obs {
-
-/// Measures a blocking stretch in microseconds (virtual microseconds
-/// under SimScheduler) and records it into a histogram. Construct just
-/// before blocking, call record() after waking:
-///
-///   obs::BlockTimer timer;
-///   testkit::wait(lock, not_full_, pred, "queue.push");
-///   timer.record("pdc.queue.block_us");
-class BlockTimer {
- public:
-  BlockTimer() {
-    if constexpr (kObsEnabled) start_us_ = now_us();
-  }
-
-  void record(const char* histogram_name) {
-    if constexpr (kObsEnabled) {
-      MetricsRegistry::instance().histogram(histogram_name).record(
-          now_us() - start_us_);
-    } else {
-      (void)histogram_name;
-    }
-  }
-
- private:
-  std::uint64_t start_us_ = 0;
-};
-
-}  // namespace pdc::obs

@@ -35,11 +35,9 @@ struct Ring {
   std::uint64_t tid = 0;  // session-local track id (registration order)
   const char* thread_name = nullptr;
   std::uint64_t name_index = 0;
-  // Owner-thread state, still guarded by `mutex` because the harvest
-  // reads it: the thread's Lamport clock and its open-span stack.
+  // The owner thread's Lamport clock, ticked under `mutex` together with
+  // the event it stamps.
   std::uint64_t lamport = 0;
-  std::uint64_t next_span = 1;
-  std::vector<std::uint64_t> span_stack;
 };
 
 struct HarvestedRing {
@@ -137,13 +135,7 @@ void emit_slow(TraceEventKind kind, const char* name, std::uint64_t id,
                std::uint64_t arg) {
   Ring& ring = current_ring();
   std::scoped_lock lock(ring.mutex);
-  std::uint64_t lamport = ring.lamport;
-  if (kind == TraceEventKind::kBegin) {
-    ring.span_stack.push_back((ring.tid << 32) | ring.next_span++);
-  } else if (kind == TraceEventKind::kEnd && !ring.span_stack.empty()) {
-    ring.span_stack.pop_back();
-  }
-  append(ring, TraceEvent{kind, name, now_us(), id, arg, lamport});
+  append(ring, TraceEvent{kind, name, now_us(), id, arg, ring.lamport});
 }
 
 WireTrace wire_capture_slow(const char* name, std::uint64_t arg,
@@ -153,8 +145,6 @@ WireTrace wire_capture_slow(const char* name, std::uint64_t arg,
   ring.lamport += 1;
   WireTrace wire;
   wire.lamport = ring.lamport;
-  wire.span = ring.span_stack.empty() ? (ring.tid << 32)
-                                      : ring.span_stack.back();
   wire.flow = state().next_flow.fetch_add(1, std::memory_order_relaxed);
   append(ring, TraceEvent{TraceEventKind::kFlowStart, name, now_us(),
                           wire.flow, arg, wire.lamport, bytes});

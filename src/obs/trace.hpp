@@ -10,7 +10,7 @@
 //     functions are a single relaxed atomic load and return — the
 //     zero-contention fast path the instrumented modules rely on.
 //
-//  2. Causal spans — WireTrace{span, lamport} piggybacks on mp::Envelope
+//  2. Causal spans — WireTrace{lamport, flow} piggybacks on mp::Envelope
 //     and net::Datagram. Senders call wire_capture() (ticks the thread's
 //     Lamport clock, allocates a flow id, records a flow-start event);
 //     receivers call wire_accept() (merges the clock, records the
@@ -51,17 +51,16 @@ inline constexpr bool kObsEnabled = true;
 /// Default-constructed (zero) means "no trace attached" — envelopes built
 /// while no collector is running carry this and cost nothing downstream.
 /// Two independent sessions share the ride: the thread-ring fields
-/// (span/lamport/flow, TraceCollector) and the request-trace fields
+/// (lamport/flow, TraceCollector) and the request-trace fields
 /// (trace_id/trace_span, SpanCollector — see obs/span.hpp).
 struct WireTrace {
-  std::uint64_t span = 0;     // originating span id (0 = none)
   std::uint64_t lamport = 0;  // sender's Lamport time at send
   std::uint64_t flow = 0;     // flow id pairing this send with its recv
   std::uint64_t trace_id = 0;    // request trace this message belongs to
   std::uint64_t trace_span = 0;  // sender's span id within that trace
 
   [[nodiscard]] bool empty() const noexcept {
-    return span == 0 && lamport == 0 && flow == 0 && trace_id == 0;
+    return lamport == 0 && flow == 0 && trace_id == 0;
   }
 };
 

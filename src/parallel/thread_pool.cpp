@@ -1,229 +1,34 @@
 #include "parallel/thread_pool.hpp"
 
-#include <algorithm>
-#include <chrono>
-
-#include "concurrency/backoff.hpp"
 #include "testkit/hooks.hpp"
 
 namespace pdc::parallel {
 
-namespace {
-thread_local std::size_t t_worker_index = SIZE_MAX;
-thread_local const ThreadPool* t_current_pool = nullptr;
-
-constexpr std::size_t kInjectCapacity = 1u << 12;
-constexpr auto kParkTimeout = std::chrono::milliseconds(1);
-
-std::size_t resolve_threads(std::size_t requested) {
-  if (requested != 0) return requested;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-}  // namespace
-
-ThreadPool::ThreadPool(std::size_t threads) : inject_(kInjectCapacity) {
-  const std::size_t n = resolve_threads(threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-    if constexpr (obs::kObsEnabled) {
-      workers_.back()->depth_hist = &obs::MetricsRegistry::instance().histogram(
-          "pdc.pool.deque_depth.w" + std::to_string(i));
-    }
-  }
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() { shutdown(); }
-
 support::Status ThreadPool::post(Task fn) {
-  // Dekker-style handshake with the worker exit check: raise pending_
-  // (seq_cst) BEFORE reading closed_, while workers read closed_ before
-  // pending_. If we see closed == false here, any worker that later sees
-  // closed == true is ordered after our increment and keeps draining —
-  // an accepted post can never be stranded by racing shutdown.
-  pending_.fetch_add(1, std::memory_order_seq_cst);
+  // Dekker-style handshake with shutdown(): raise posting_ BEFORE reading
+  // closed_, while shutdown() sets closed_ BEFORE waiting for posting_ to
+  // reach zero (all four seq_cst). A post that sees closed == false is
+  // therefore one shutdown() waits for, and its spawn is counted by the
+  // pool before stop() begins, so stop()'s drain runs it: an accepted post
+  // can never be stranded by a racing shutdown.
+  posting_.fetch_add(1, std::memory_order_seq_cst);
   if (closed_.load(std::memory_order_seq_cst)) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+    posting_.fetch_sub(1, std::memory_order_release);
     return {support::StatusCode::kClosed, "pool shut down"};
   }
-  if (t_current_pool == this) {
-    // Worker threads self-enqueue on their own deque: lock-free, LIFO,
-    // unbounded — a task that posts more tasks can never block here.
-    Worker& w = *workers_[t_worker_index];
-    TaskNode* node = w.slab.acquire();
-    node->fn = std::move(fn);
-    w.deque.push(node);
-    if constexpr (obs::kObsEnabled) {
-      const auto depth =
-          static_cast<std::uint64_t>(w.deque.size_estimate());
-      PDC_OBS_HIST("pdc.pool.deque_depth", depth);
-      w.depth_hist->record(depth);
-    }
-  } else {
-    // External producers go through the bounded MPMC injection queue; a
-    // full queue is backpressure (back off until workers drain it), not
-    // an error — unless the pool closes while we wait.
-    concurrency::Backoff backoff;
-    while (!inject_.try_push(std::move(fn))) {
-      if (closed_.load(std::memory_order_acquire)) {
-        pending_.fetch_sub(1, std::memory_order_acq_rel);
-        return {support::StatusCode::kClosed, "pool shut down"};
-      }
-      PDC_OBS_COUNT("pdc.pool.inject_full");
-      testkit::poll_pause("pool.inject.full");
-      backoff.step();
-    }
-  }
-  // Only an accepted task counts: the gauge balances against the dequeue
-  // decrement in worker_loop, so it reads 0 at quiescence.
-  PDC_OBS_COUNT("pdc.pool.submitted");
-  PDC_OBS_GAUGE_ADD("pdc.pool.queue_depth", 1);
-  wake_one();
+  pool_.spawn(std::move(fn));
+  posting_.fetch_sub(1, std::memory_order_release);
   return support::Status::ok();
 }
 
 void ThreadPool::shutdown() {
-  if (joined_) return;
-  joined_ = true;
   closed_.store(true, std::memory_order_seq_cst);
-  {
-    // Notify under the lock: a worker between its predicate check and its
-    // park must not miss the close (and the CV must outlive the notify).
-    std::scoped_lock lock(idle_mutex_);
-    testkit::notify_all(idle_cv_);
+  // An accepted external post may still be backing off on a full
+  // injection queue; the workers are running, so it gets in.
+  while (posting_.load(std::memory_order_seq_cst) != 0) {
+    testkit::poll_pause("pool.shutdown");
   }
-  for (auto& t : threads_) t.join();
-}
-
-bool ThreadPool::inside_worker() const { return t_current_pool == this; }
-
-void ThreadPool::wake_one() {
-  if (parked_.load(std::memory_order_acquire) == 0) return;
-  std::scoped_lock lock(idle_mutex_);
-  testkit::notify_one(idle_cv_);
-}
-
-bool ThreadPool::try_take(std::size_t self, Task& out) {
-  TaskNode* node = nullptr;
-  if (workers_[self]->deque.pop(node)) {
-    out = std::move(node->fn);
-    TaskSlab::release(node, /*owner=*/true);
-    return true;
-  }
-  if (inject_.try_pop(out)) return true;
-  // Entering the steal sweep: own deque and injection were both empty, so
-  // the worker is now hunting — visible to the sampling profiler until the
-  // next running/parked publish.
-  obs::publish_worker_state(obs::WorkerState::kStealing);
-  const std::size_t n = workers_.size();
-  const std::size_t start = next_victim_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (start + k) % n;
-    if (victim == self) continue;
-    for (;;) {
-      node = nullptr;
-      const StealResult result = workers_[victim]->deque.steal(node);
-      if (result == StealResult::kStolen) {
-        PDC_OBS_COUNT("pdc.pool.stolen");
-        out = std::move(node->fn);
-        TaskSlab::release(node, /*owner=*/false);
-        return true;
-      }
-      if (result == StealResult::kEmpty) break;
-      concurrency::cpu_relax();  // kLost: contended, try again immediately
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  t_worker_index = self;
-  t_current_pool = this;
-  // Profiler slot: published with plain relaxed stores around each task
-  // (the "store pair" hot path); registration happens once per worker
-  // thread. Slots are keyed by name, so repeated pool construction reuses
-  // them (see obs/profile.hpp).
-  obs::WorkerSlot* slot = nullptr;
-  if constexpr (obs::kObsEnabled) {
-    slot = obs::Profiler::instance().register_worker("pool.w" +
-                                                     std::to_string(self));
-    obs::Profiler::bind_current_thread(slot);
-  }
-  concurrency::Backoff backoff;
-  for (;;) {
-    Task task;
-    if (try_take(self, task)) {
-      PDC_OBS_GAUGE_SUB("pdc.pool.queue_depth", 1);
-      if constexpr (obs::kObsEnabled) {
-        slot->publish(obs::WorkerState::kRunning, obs::Profiler::kTaskLabel);
-      }
-      {
-        obs::ScopedSpan span("pool.task");
-        obs::BlockTimer timer;
-        task();
-        timer.record("pdc.pool.task_us");
-      }
-      if constexpr (obs::kObsEnabled) {
-        slot->publish(obs::WorkerState::kIdle);
-      }
-      PDC_OBS_COUNT("pdc.pool.executed");
-      task.reset();  // drop closure state before signaling quiescence
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          closed_.load(std::memory_order_acquire)) {
-        // Possibly the last task after close: wake peers so they can exit.
-        std::scoped_lock lock(idle_mutex_);
-        testkit::notify_all(idle_cv_);
-      }
-      backoff.reset();
-      continue;
-    }
-    // seq_cst pair with post(): see the handshake comment there.
-    if (closed_.load(std::memory_order_seq_cst) &&
-        pending_.load(std::memory_order_seq_cst) == 0) {
-      break;  // closed and drained
-    }
-    if (!backoff.park_ready()) {
-      backoff.step();
-      continue;
-    }
-    // Bottom of the ladder: park on the idle CV. Re-check under the lock
-    // so a post between the last scan and the park cannot be lost; the
-    // timeout backstops the unlocked parked_ fast check in wake_one().
-    std::unique_lock lock(idle_mutex_);
-    if (closed_.load(std::memory_order_acquire) ||
-        pending_.load(std::memory_order_acquire) != 0) {
-      backoff.reset();
-      continue;
-    }
-    parked_.fetch_add(1, std::memory_order_release);
-    PDC_OBS_GAUGE_ADD("pdc.pool.parked_workers", 1);
-    if constexpr (obs::kObsEnabled) {
-      slot->publish(obs::WorkerState::kParked);
-    }
-    testkit::wait_for(
-        lock, idle_cv_, kParkTimeout,
-        [&] {
-          return closed_.load(std::memory_order_acquire) ||
-                 pending_.load(std::memory_order_acquire) != 0;
-        },
-        "pool.park");
-    if constexpr (obs::kObsEnabled) {
-      slot->publish(obs::WorkerState::kIdle);
-    }
-    parked_.fetch_sub(1, std::memory_order_release);
-    PDC_OBS_GAUGE_SUB("pdc.pool.parked_workers", 1);
-    backoff.reset();
-  }
-  if constexpr (obs::kObsEnabled) {
-    obs::Profiler::bind_current_thread(nullptr);
-    obs::Profiler::instance().release_worker(slot);
-  }
-  t_current_pool = nullptr;
-  t_worker_index = SIZE_MAX;
+  pool_.stop();
 }
 
 ThreadPool& default_pool() {

@@ -1,30 +1,30 @@
 // Fixed-size thread pool: the "think in terms of tasks, not threads"
 // foundation (Core Guidelines CP.4, CP.41) used by parallel_for and the
-// task graph. Destruction joins all workers after draining submitted work.
+// task graph. Destruction drains submitted work, then joins all workers.
 //
-// Scheduling substrate (PR 3, see docs/scheduler.md): instead of funneling
-// every worker through one mutex+CV BoundedQueue, each worker owns a
-// lock-free ChaseLevDeque. Work posted from inside a worker goes to that
-// worker's deque (LIFO, no atomic RMW); work posted from outside enters a
-// bounded lock-free MPMC injection queue; idle workers steal from their
-// peers' deques before descending a spin → yield → park ladder. Task
-// closures travel in parallel::Task (64-byte inline storage) held by
-// pooled TaskSlab nodes, so `submit` no longer pays the
-// shared_ptr<packaged_task> + std::function double allocation and `post`
+// ThreadPool is a post/shutdown front on WorkStealingPool, the library's
+// one scheduler (see docs/scheduler.md): the same per-worker Chase–Lev
+// deques, MPMC injection queue, batch steals and spin → yield → park
+// ladder run its tasks. A post from one of its workers lands on that
+// worker's own deque (LIFO, no atomic RMW); a post from outside enters
+// the bounded injection queue. What the front adds is the contract
+// fire-and-forget callers need at teardown: after shutdown a post is
+// refused with kClosed, and a post that was accepted always runs. Task
+// closures travel in parallel::Task (64-byte inline storage), so `post`
 // with a small closure allocates nothing at all.
+//
+// Its metrics are the `pdc.pool.*` family and its workers publish to the
+// profiler as `pool.w<i>`, so its work is counted apart from a plain
+// WorkStealingPool's (`pdc.steal.*`, `steal.w<i>`).
 #pragma once
 
+#include <atomic>
 #include <future>
-#include <thread>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
-#include "concurrency/mpmc_queue.hpp"
-#include "obs/obs.hpp"
-#include "parallel/chase_lev.hpp"
 #include "parallel/task.hpp"
-#include "parallel/task_slab.hpp"
+#include "parallel/work_stealing.hpp"
 #include "support/check.hpp"
 #include "support/status.hpp"
 
@@ -38,10 +38,10 @@ class ThreadPool {
   /// the pool by blocking on their own queue. The external injection
   /// queue is bounded; a non-worker caller that finds it full backs off
   /// until the workers drain it (backpressure, not failure).
-  explicit ThreadPool(std::size_t threads = 0);
+  explicit ThreadPool(std::size_t threads = 0) : pool_(threads, "pool") {}
 
   /// Drains queued tasks, then joins every worker (no detach; CP.26).
-  ~ThreadPool();
+  ~ThreadPool() { shutdown(); }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -82,42 +82,16 @@ class ThreadPool {
   /// kClosed.
   void shutdown();
 
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const { return pool_.size(); }
 
   /// True when called from one of this pool's worker threads.
-  [[nodiscard]] bool inside_worker() const;
+  [[nodiscard]] bool inside_worker() const { return pool_.inside_worker(); }
 
  private:
-  /// One worker's scheduling state, cache-line separated from its peers.
-  struct alignas(64) Worker {
-    ChaseLevDeque<TaskNode*> deque;
-    TaskSlab slab;
-    /// Per-worker deque-depth histogram, resolved once at pool
-    /// construction so the owner-push path stays lookup-free (null under
-    /// PDCKIT_OBS_NOOP). Depth is the racy size_estimate() at push —
-    /// monitoring semantics, good enough to see steal imbalance.
-    obs::Histogram* depth_hist = nullptr;
-  };
-
-  void worker_loop(std::size_t self);
-
-  /// Takes one task: own deque bottom → injection queue → steal sweep.
-  bool try_take(std::size_t self, Task& out);
-
-  /// Wakes one parked worker if any (cheap relaxed check when none).
-  void wake_one();
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  concurrency::MpmcQueue<Task> inject_;
-  std::vector<std::thread> threads_;
+  WorkStealingPool pool_;
   std::atomic<bool> closed_{false};
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_victim_{0};
-  std::atomic<std::size_t> parked_{0};
-  bool joined_ = false;
-
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
+  /// Posts between their closed_ check and the end of their spawn.
+  std::atomic<std::size_t> posting_{0};
 };
 
 /// The process-wide default pool, sized to hardware concurrency. Intended

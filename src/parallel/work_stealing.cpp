@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "concurrency/backoff.hpp"
 #include "obs/obs.hpp"
@@ -21,16 +22,30 @@ constexpr std::size_t kStealBatch = 8;
 }  // namespace
 
 WorkStealingPool::WorkStealingPool(std::size_t threads)
-    : inject_(kInjectCapacity) {
+    : WorkStealingPool(threads, "steal") {}
+
+WorkStealingPool::WorkStealingPool(std::size_t threads, const char* family)
+    : family_(family), inject_(kInjectCapacity) {
   const std::size_t n =
       threads != 0 ? threads
                    : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<Worker>());
-    if constexpr (obs::kObsEnabled) {
-      workers_.back()->depth_hist = &obs::MetricsRegistry::instance().histogram(
-          "pdc.steal.deque_depth.w" + std::to_string(i));
+  }
+  if constexpr (obs::kObsEnabled) {
+    auto& registry = obs::MetricsRegistry::instance();
+    const std::string prefix = std::string("pdc.") + family + ".";
+    metrics_ = {&registry.counter(prefix + "spawned"),
+                &registry.counter(prefix + "run"),
+                &registry.counter(prefix + "stolen"),
+                &registry.counter(prefix + "inject_full"),
+                &registry.histogram(prefix + "deque_depth"),
+                &registry.histogram(prefix + "batch"),
+                &registry.gauge(prefix + "parked_workers")};
+    for (std::size_t i = 0; i < n; ++i) {
+      workers_[i]->depth_hist =
+          &registry.histogram(prefix + "deque_depth.w" + std::to_string(i));
     }
   }
   threads_.reserve(n);
@@ -39,8 +54,11 @@ WorkStealingPool::WorkStealingPool(std::size_t threads)
   }
 }
 
-WorkStealingPool::~WorkStealingPool() {
-  wait_idle();
+WorkStealingPool::~WorkStealingPool() { stop(); }
+
+void WorkStealingPool::stop() {
+  if (stopped_) return;
+  stopped_ = true;
   stopping_.store(true, std::memory_order_release);
   {
     // Notify under the lock: a worker between its predicate check and its
@@ -51,8 +69,10 @@ WorkStealingPool::~WorkStealingPool() {
   for (auto& t : threads_) t.join();
 }
 
+bool WorkStealingPool::inside_worker() const { return t_worker_pool == this; }
+
 void WorkStealingPool::spawn(Task fn) {
-  PDC_OBS_COUNT("pdc.steal.spawned");
+  if constexpr (obs::kObsEnabled) metrics_.spawned->inc();
   pending_.fetch_add(1, std::memory_order_acq_rel);
   if (t_worker_pool == this) {
     // Locality: child tasks stay with the forker, LIFO at the deque
@@ -64,7 +84,7 @@ void WorkStealingPool::spawn(Task fn) {
     if constexpr (obs::kObsEnabled) {
       const auto depth =
           static_cast<std::uint64_t>(w.deque.size_estimate());
-      PDC_OBS_HIST("pdc.steal.deque_depth", depth);
+      metrics_.deque_depth->record(depth);
       w.depth_hist->record(depth);
     }
   } else {
@@ -72,7 +92,7 @@ void WorkStealingPool::spawn(Task fn) {
     // momentarily full, back off until the workers drain it.
     concurrency::Backoff backoff;
     while (!inject_.try_push(std::move(fn))) {
-      PDC_OBS_COUNT("pdc.steal.inject_full");
+      if constexpr (obs::kObsEnabled) metrics_.inject_full->inc();
       testkit::poll_pause("ws.inject.full");
       backoff.step();
     }
@@ -121,8 +141,10 @@ bool WorkStealingPool::try_take(std::size_t self, Task& out) {
           workers_[victim]->deque.steal_batch(nodes, want, &last);
       if (got > 0) {
         steals_.fetch_add(got, std::memory_order_relaxed);
-        PDC_OBS_COUNT("pdc.steal.stolen", got);
-        if (got > 1) PDC_OBS_HIST("pdc.steal.batch", got);
+        if constexpr (obs::kObsEnabled) {
+          metrics_.stolen->inc(got);
+          if (got > 1) metrics_.batch->record(got);
+        }
         out = std::move(nodes[0]->fn);
         TaskSlab::release(nodes[0], /*owner=*/false);
         // Surplus: move each closure into a node from OUR slab and push it
@@ -152,7 +174,7 @@ bool WorkStealingPool::try_take(std::size_t self, Task& out) {
 bool WorkStealingPool::run_one(std::size_t hint) {
   Task task;
   if (!try_take(hint, task)) return false;
-  PDC_OBS_COUNT("pdc.steal.run");
+  if constexpr (obs::kObsEnabled) metrics_.run->inc();
   {
     // The per-task store pair: running before, idle after (restored by the
     // scope so nested helpers attribute correctly). External helper
@@ -161,8 +183,9 @@ bool WorkStealingPool::run_one(std::size_t hint) {
     task();
   }
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Quiescent: release wait_idle() and parked workers. Under the lock —
-    // the waiter may destroy the pool the instant the predicate holds.
+    // Quiescent: release wait_idle(), parked workers and a stopping pool.
+    // Under the lock — the waiter may destroy the pool the instant the
+    // predicate holds.
     std::scoped_lock lock(idle_mutex_);
     testkit::notify_all(idle_cv_);
   }
@@ -211,15 +234,22 @@ void WorkStealingPool::worker_loop(std::size_t self) {
   // them (see obs/profile.hpp).
   obs::WorkerSlot* slot = nullptr;
   if constexpr (obs::kObsEnabled) {
-    slot = obs::Profiler::instance().register_worker("steal.w" +
-                                                     std::to_string(self));
+    slot = obs::Profiler::instance().register_worker(
+        std::string(family_) + ".w" + std::to_string(self));
     obs::Profiler::bind_current_thread(slot);
   }
   concurrency::Backoff backoff;
-  while (!stopping_.load(std::memory_order_acquire)) {
+  for (;;) {
     if (run_one(self)) {
       backoff.reset();
       continue;
+    }
+    // stop() lets the workers drain: leave only once stopped AND no
+    // spawned task is left anywhere. A running task keeps pending_ above
+    // zero until it returns, so a spawn it makes cannot be stranded.
+    if (stopping_.load(std::memory_order_acquire) &&
+        pending_.load(std::memory_order_acquire) == 0) {
+      break;
     }
     if (!backoff.park_ready()) {
       backoff.step();
@@ -236,8 +266,8 @@ void WorkStealingPool::worker_loop(std::size_t self) {
       continue;
     }
     parked_.fetch_add(1, std::memory_order_release);
-    PDC_OBS_GAUGE_ADD("pdc.steal.parked_workers", 1);
     if constexpr (obs::kObsEnabled) {
+      metrics_.parked_workers->add(1);
       slot->publish(obs::WorkerState::kParked);
     }
     testkit::wait_for(
@@ -251,7 +281,7 @@ void WorkStealingPool::worker_loop(std::size_t self) {
       slot->publish(obs::WorkerState::kIdle);
     }
     parked_.fetch_sub(1, std::memory_order_release);
-    PDC_OBS_GAUGE_SUB("pdc.steal.parked_workers", 1);
+    if constexpr (obs::kObsEnabled) metrics_.parked_workers->sub(1);
     backoff.reset();
   }
   if constexpr (obs::kObsEnabled) {

@@ -1,5 +1,7 @@
 // Work-stealing task pool for fork/join (divide-and-conquer) parallelism,
-// built on lock-free scheduler primitives (see docs/scheduler.md):
+// built on lock-free scheduler primitives (see docs/scheduler.md). It is
+// the library's one task scheduler: ThreadPool is a post/shutdown front
+// on it.
 //
 //  - each worker owns a ChaseLevDeque: the owner pushes and pops at the
 //    bottom (LIFO, preserving locality of the most recently forked
@@ -35,9 +37,13 @@
 
 namespace pdc::parallel {
 
+class ThreadPool;
+
 class WorkStealingPool {
  public:
   explicit WorkStealingPool(std::size_t threads = 0);
+
+  /// Drains every spawned task, then joins the workers (stop()).
   ~WorkStealingPool();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
@@ -58,6 +64,11 @@ class WorkStealingPool {
   /// free even on a pool of size 1.
   void wait_idle();
 
+  /// Lets the workers run every spawned task (including tasks those tasks
+  /// spawn), then stops and joins them. Idempotent; the destructor calls
+  /// it. A spawn from outside the pool must not race it.
+  void stop();
+
   [[nodiscard]] std::size_t size() const { return threads_.size(); }
 
   /// Total successful steals since construction (scheduler diagnostics).
@@ -72,6 +83,28 @@ class WorkStealingPool {
   }
 
  private:
+  friend class ThreadPool;
+
+  /// `family` names the pool's metric family (`pdc.<family>.*`) and its
+  /// profiler slots (`<family>.w<i>`): "steal" here, "pool" for the
+  /// ThreadPool front. It must be a string literal.
+  WorkStealingPool(std::size_t threads, const char* family);
+
+  /// True when called from one of this pool's worker threads.
+  [[nodiscard]] bool inside_worker() const;
+
+  /// Metric handles, resolved once at construction so no task-path
+  /// update looks a name up (all null under PDCKIT_OBS_NOOP).
+  struct Metrics {
+    obs::Counter* spawned = nullptr;
+    obs::Counter* run = nullptr;
+    obs::Counter* stolen = nullptr;
+    obs::Counter* inject_full = nullptr;
+    obs::Histogram* deque_depth = nullptr;
+    obs::Histogram* batch = nullptr;
+    obs::Gauge* parked_workers = nullptr;
+  };
+
   /// One worker's scheduling state, cache-line separated from its peers.
   struct alignas(64) Worker {
     ChaseLevDeque<TaskNode*> deque;
@@ -97,9 +130,12 @@ class WorkStealingPool {
   /// Wakes one parked worker if any (cheap relaxed check when none).
   void wake_one();
 
+  const char* family_;
+  Metrics metrics_;
   std::vector<std::unique_ptr<Worker>> workers_;
   concurrency::MpmcQueue<Task> inject_;
   std::vector<std::thread> threads_;
+  bool stopped_ = false;
   std::atomic<bool> stopping_{false};
   std::atomic<std::size_t> pending_{0};
   std::atomic<std::size_t> next_victim_{0};

@@ -124,32 +124,59 @@ TEST(Metrics, HistogramBucketOfMatchesTheShiftLoop) {
   }
 }
 
-// The pool's queue-depth gauge must balance: +1 per accepted task, -1 per
-// dequeue. Before PR 3 the add happened before the accept decision, so a
-// rejected post could leave the gauge permanently skewed; now acceptance
-// and accounting are one step. At quiescence the value must read 0 while
-// the high-water mark proves tasks were actually in flight.
-TEST(Metrics, PoolQueueDepthGaugeBalancesToZero) {
+// Both pools count a task once when it is spawned and once when it has
+// run, so after the drain pdc.<family>.spawned and pdc.<family>.run both
+// equal the number of accepted tasks, external posts and posts from
+// inside the workers alike. A post refused after shutdown moves neither.
+TEST(Metrics, PoolSpawnedAndRunCountersBalance) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
-  auto& gauge = MetricsRegistry::instance().gauge("pdc.pool.queue_depth");
-  gauge.reset();
+  auto& registry = MetricsRegistry::instance();
+  auto& pool_spawned = registry.counter("pdc.pool.spawned");
+  auto& pool_run = registry.counter("pdc.pool.run");
+  auto& steal_spawned = registry.counter("pdc.steal.spawned");
+  auto& steal_run = registry.counter("pdc.steal.run");
+  for (auto* counter : {&pool_spawned, &pool_run, &steal_spawned, &steal_run}) {
+    counter->reset();
+  }
   {
     pdc::parallel::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(pool.post([&count] { count.fetch_add(1); }).is_ok());
+    std::atomic<int> accepted{0};
+    std::atomic<int> parents_done{0};
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(pool.post([&] {
+        ran.fetch_add(1);
+        if (pool.post([&ran] { ran.fetch_add(1); }).is_ok()) {
+          accepted.fetch_add(1);
+        }
+        parents_done.fetch_add(1);
+      }).is_ok());
+      accepted.fetch_add(1);
     }
-    pool.shutdown();  // drains: every accepted task executes
-    EXPECT_EQ(count.load(), 200);
-    // Posts after shutdown are refused and must not move the gauge.
+    while (parents_done.load() < 100) std::this_thread::yield();
+    pool.shutdown();  // drains: every accepted task runs
+    EXPECT_EQ(accepted.load(), 200);
+    EXPECT_EQ(ran.load(), 200);
+    EXPECT_EQ(pool_spawned.total(), 200u);
+    EXPECT_EQ(pool_run.total(), 200u);
     EXPECT_FALSE(pool.post([] {}).is_ok());
+    EXPECT_EQ(pool_spawned.total(), 200u);
+    EXPECT_EQ(pool_run.total(), 200u);
   }
-  EXPECT_EQ(gauge.value(), 0);
-  EXPECT_GT(gauge.high_water(), 0);
-  const auto snapshot = MetricsRegistry::instance().scrape();
-  const auto* sample = snapshot.find("pdc.pool.queue_depth");
-  ASSERT_NE(sample, nullptr);
-  EXPECT_EQ(sample->value, 0);
+  {
+    pdc::parallel::WorkStealingPool pool(2);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 100; ++i) {
+      pool.spawn([&] {
+        ran.fetch_add(1);
+        pool.spawn([&ran] { ran.fetch_add(1); });
+      });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(ran.load(), 200);
+  }
+  EXPECT_EQ(steal_spawned.total(), 200u);
+  EXPECT_EQ(steal_run.total(), 200u);
 }
 
 TEST(Metrics, ScrapeJsonContainsRegisteredMetrics) {

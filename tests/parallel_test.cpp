@@ -529,10 +529,15 @@ TEST(Pipeline, StagesRunConcurrently) {
   pdc::support::Stopwatch clock;
   (void)pipeline.run(inputs);
   const double elapsed = clock.elapsed_millis();
-  // Serial would be ≥ 80ms; pipelined should be well under.
-  EXPECT_LT(elapsed, 70.0);
   ASSERT_EQ(pipeline.stage_busy_seconds().size(), 2u);
-  EXPECT_GT(pipeline.stage_busy_seconds()[0], 0.0);
+  const double busy0_ms = pipeline.stage_busy_seconds()[0] * 1e3;
+  const double busy1_ms = pipeline.stage_busy_seconds()[1] * 1e3;
+  EXPECT_GT(busy0_ms, 0.0);
+  EXPECT_GT(busy1_ms, 0.0);
+  // Stages run one after another can finish no sooner than the sum of
+  // their busy times; overlapped stages beat it. The bound comes from
+  // this run's own sleeps, so an oversleeping host raises both sides.
+  EXPECT_LT(elapsed, busy0_ms + busy1_ms);
 }
 
 TEST(Pipeline, StringsAndEmptyInput) {
