@@ -68,11 +68,11 @@ void CausalBroadcast::broadcast(std::int64_t payload) {
 
 std::vector<CausalMessage> CausalBroadcast::poll() {
   std::vector<CausalMessage> delivered;
-  while (auto info = comm_.iprobe(mp::kAnySource, kTagCausal)) {
-    const auto wire = comm_.recv_vector<std::int64_t>(info->source, kTagCausal);
+  while (auto taken = comm_.try_take(mp::kAnySource, kTagCausal)) {
+    const auto wire = taken->as_vector<std::int64_t>();
     PDC_CHECK(wire.size() == 1 + static_cast<std::size_t>(comm_.size()));
     CausalMessage message;
-    message.source = info->source;
+    message.source = taken->envelope.source;
     message.payload = wire[0];
     message.stamp.assign(wire.begin() + 1, wire.end());
     auto released = buffer_.offer(std::move(message));

@@ -74,11 +74,10 @@ MpSyncResult cristian_sync_mp(mp::Communicator& comm, DriftingClock& clock,
   if (me == 0) {
     obs::ScopedSpan span("clocksync.serve");
     for (int served = 0; served + 1 < p; ++served) {
-      const mp::RecvInfo info = comm.probe(mp::kAnySource, kTagTimeRequest);
-      const auto request =
-          comm.recv_value<TimeRequest>(info.source, kTagTimeRequest);
+      const mp::Message message = comm.take(mp::kAnySource, kTagTimeRequest);
+      const auto request = message.as<TimeRequest>();
       const double stamp = clock.read(true_time + request.request_delay);
-      comm.send_value(stamp, info.source, kTagTimeResponse);
+      comm.send_value(stamp, message.envelope.source, kTagTimeResponse);
       ++result.messages;
       PDC_OBS_COUNT("pdc.clocksync.served");
     }

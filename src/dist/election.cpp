@@ -48,9 +48,9 @@ ElectionResult ring_election(mp::Communicator& comm,
 
   for (;;) {
     testkit::yield_point("ring_election.pump");
-    const mp::RecvInfo info = comm.probe(mp::kAnySource, mp::kAnyTag);
-    if (info.tag == kTagElect) {
-      const int candidate = comm.recv_value<int>(info.source, kTagElect);
+    const mp::Message message = comm.take(mp::kAnySource, mp::kAnyTag);
+    if (message.envelope.tag == kTagElect) {
+      const int candidate = message.as<int>();
       if (candidate == me) {
         // My own id came all the way around: I have the highest id.
         result.leader = me;
@@ -74,8 +74,8 @@ ElectionResult ring_election(mp::Communicator& comm,
         participated = true;
       }
       // candidate < me && participated: swallow (my candidacy is ahead).
-    } else if (info.tag == kTagCoord) {
-      const int leader = comm.recv_value<int>(info.source, kTagCoord);
+    } else if (message.envelope.tag == kTagCoord) {
+      const int leader = message.as<int>();
       result.leader = leader;
       if (leader != me) {
         comm.send_value(leader, successor, kTagCoord);
@@ -130,22 +130,22 @@ ElectionResult bully_election(mp::Communicator& comm,
 
   // Pump handling shared by all wait states. Returns true when a
   // coordinator announcement ended the election.
-  auto drain_one = [&](const mp::RecvInfo& info, bool* saw_ok) {
-    if (info.tag == kTagElection) {
-      const int challenger = comm.recv_value<int>(info.source, kTagElection);
+  auto drain_one = [&](const mp::Message& message, bool* saw_ok) {
+    const int tag = message.envelope.tag;
+    if (tag == kTagElection) {
+      const int challenger = message.as<int>();
       comm.send_value(me, challenger, kTagOk);
       ++result.messages_sent;
       PDC_OBS_COUNT("pdc.election.messages");
       electing = true;  // a lower rank is electing: I must bully upward too
       return false;
     }
-    if (info.tag == kTagOk) {
-      (void)comm.recv_value<int>(info.source, kTagOk);
+    if (tag == kTagOk) {
       if (saw_ok) *saw_ok = true;
       return false;
     }
-    if (info.tag == kTagCoordinator) {
-      result.leader = comm.recv_value<int>(info.source, kTagCoordinator);
+    if (tag == kTagCoordinator) {
+      result.leader = message.as<int>();
       obs::trace_instant("election.elected",
                          static_cast<std::uint64_t>(result.leader));
       return true;
@@ -166,8 +166,8 @@ ElectionResult bully_election(mp::Communicator& comm,
       bool saw_ok = false;
       support::Stopwatch clock;
       while (clock.elapsed_millis() < static_cast<double>(timeout.count())) {
-        if (auto info = comm.iprobe(mp::kAnySource, mp::kAnyTag)) {
-          if (drain_one(*info, &saw_ok)) return result;
+        if (auto message = comm.try_take(mp::kAnySource, mp::kAnyTag)) {
+          if (drain_one(*message, &saw_ok)) return result;
           if (saw_ok) break;
         } else {
           std::this_thread::yield();
@@ -182,8 +182,8 @@ ElectionResult bully_election(mp::Communicator& comm,
       const double coord_budget =
           static_cast<double>(timeout.count()) * (p + 2);
       while (coord_clock.elapsed_millis() < coord_budget) {
-        if (auto info = comm.iprobe(mp::kAnySource, mp::kAnyTag)) {
-          if (drain_one(*info, nullptr)) return result;
+        if (auto message = comm.try_take(mp::kAnySource, mp::kAnyTag)) {
+          if (drain_one(*message, nullptr)) return result;
         } else {
           std::this_thread::yield();
         }
@@ -195,8 +195,8 @@ ElectionResult bully_election(mp::Communicator& comm,
 
     // Passive: serve challenges until a coordinator emerges (or a
     // challenge flips us into electing mode).
-    if (auto info = comm.iprobe(mp::kAnySource, mp::kAnyTag)) {
-      if (drain_one(*info, nullptr)) return result;
+    if (auto message = comm.try_take(mp::kAnySource, mp::kAnyTag)) {
+      if (drain_one(*message, nullptr)) return result;
     } else {
       std::this_thread::yield();
     }

@@ -21,11 +21,11 @@ bool RicartAgrawala::theirs_wins(const RequestMsg& theirs) const {
 
 void RicartAgrawala::pump_one() {
   testkit::yield_point("ra.pump");
-  // Wildcard probe keeps per-sender FIFO order across message kinds.
-  const mp::RecvInfo info = comm_.probe(mp::kAnySource, mp::kAnyTag);
-  switch (info.tag) {
+  // Wildcard take keeps per-sender FIFO order across message kinds.
+  const mp::Message message = comm_.take(mp::kAnySource, mp::kAnyTag);
+  switch (message.envelope.tag) {
     case kTagRequest: {
-      const auto request = comm_.recv_value<RequestMsg>(info.source, kTagRequest);
+      const auto request = message.as<RequestMsg>();
       clock_.merge(request.timestamp);
       if (theirs_wins(request)) {
         comm_.send_value(char{1}, request.rank, kTagReply);
@@ -37,16 +37,12 @@ void RicartAgrawala::pump_one() {
       }
       return;
     }
-    case kTagReply: {
-      (void)comm_.recv_value<char>(info.source, kTagReply);
+    case kTagReply:
       --replies_pending_;
       return;
-    }
-    case kTagDone: {
-      (void)comm_.recv_value<char>(info.source, kTagDone);
+    case kTagDone:
       ++done_received_;
       return;
-    }
     default:
       PDC_CHECK_MSG(false, "unexpected message tag in RicartAgrawala");
   }

@@ -6,6 +6,15 @@
 
 namespace pdc::dist {
 
+namespace {
+/// A writer for one Raft message, its kind byte already written.
+wire::Writer rpc(std::uint8_t kind) {
+  wire::Writer w;
+  w.u8(kind);
+  return w;
+}
+}  // namespace
+
 const char* to_string(RaftRole role) {
   switch (role) {
     case RaftRole::kFollower: return "follower";
@@ -81,8 +90,8 @@ void RaftNode::reset_election_timer() {
                                       options_.election_timeout_max_ms);
 }
 
-void RaftNode::send(int dest, int tag, std::vector<std::uint8_t> payload) {
-  comm_.send_vector(payload, dest, tag);
+void RaftNode::send(int dest, const std::vector<std::uint8_t>& payload) {
+  comm_.send_vector(payload, dest, kTagRaft);
   ++messages_sent_;
 }
 
@@ -99,23 +108,23 @@ void RaftNode::tick() {
 }
 
 void RaftNode::drain_messages() {
-  struct TagHandler {
-    int tag;
-    void (RaftNode::*handler)(int, const std::vector<std::uint8_t>&);
+  using Handler = void (RaftNode::*)(int, wire::Reader&);
+  static constexpr Handler kHandlers[] = {  // indexed by Rpc
+      &RaftNode::handle_request_vote,     &RaftNode::handle_vote_reply,
+      &RaftNode::handle_append,           &RaftNode::handle_append_reply,
+      &RaftNode::handle_install_snapshot, &RaftNode::handle_snapshot_reply,
   };
-  static constexpr TagHandler kHandlers[] = {
-      {kTagRequestVote, &RaftNode::handle_request_vote},
-      {kTagVoteReply, &RaftNode::handle_vote_reply},
-      {kTagAppend, &RaftNode::handle_append},
-      {kTagAppendReply, &RaftNode::handle_append_reply},
-      {kTagInstallSnapshot, &RaftNode::handle_install_snapshot},
-      {kTagSnapshotReply, &RaftNode::handle_snapshot_reply},
-  };
-  for (const auto& [tag, handler] : kHandlers) {
-    while (auto info = comm_.iprobe(mp::kAnySource, tag)) {
-      const auto raw = comm_.recv_vector<std::uint8_t>(info->source, tag);
-      (this->*handler)(info->source, raw);
+  static_assert(std::size(kHandlers) == kSnapshotReply + 1);
+  while (auto message = comm_.try_take(mp::kAnySource, kTagRaft)) {
+    const mp::Payload& payload = message->payload;
+    // No kind byte, or one past the table: drop it rather than let a
+    // peer's garbage index the handler table.
+    if (payload.empty() || payload[0] >= std::size(kHandlers)) {
+      PDC_OBS_COUNT("pdc.raft.malformed");
+      continue;
     }
+    wire::Reader r(payload);
+    (this->*kHandlers[r.u8()])(message->envelope.source, r);
   }
 }
 
@@ -162,13 +171,13 @@ void RaftNode::start_election() {
     become_leader();
     return;
   }
-  wire::Writer w;
+  wire::Writer w = rpc(kRequestVote);
   w.u64(storage_.current_term);
   w.u64(last_index());
   w.u64(term_at(last_index()));
   const auto payload = w.take();
   for (int peer = 0; peer < comm_.size(); ++peer) {
-    if (peer != comm_.rank()) send(peer, kTagRequestVote, payload);
+    if (peer != comm_.rank()) send(peer, payload);
   }
 }
 
@@ -244,13 +253,13 @@ void RaftNode::replicate(int peer) {
   const auto p = static_cast<std::size_t>(peer);
   if (next_index_[p] <= storage_.snapshot_index) {
     // The follower's next entry was compacted away: ship the snapshot.
-    wire::Writer w;
+    wire::Writer w = rpc(kInstallSnapshot);
     w.u64(storage_.current_term);
     w.u64(storage_.snapshot_index);
     w.u64(storage_.snapshot_term);
     w.u64(round_);
     w.bytes(storage_.snapshot);
-    send(peer, kTagInstallSnapshot, w.take());
+    send(peer, w.take());
     PDC_OBS_COUNT("pdc.raft.snapshot_sent");
     return;
   }
@@ -258,7 +267,7 @@ void RaftNode::replicate(int peer) {
   const std::uint64_t first = next_index_[p];
   const std::uint64_t last =
       std::min(last_index(), first + options_.max_entries_per_append - 1);
-  wire::Writer w;
+  wire::Writer w = rpc(kAppend);
   w.u64(storage_.current_term);
   w.u64(prev);
   w.u64(term_at(prev));
@@ -284,12 +293,11 @@ void RaftNode::replicate(int peer) {
     }
   }
   obs::SpanScope scope(append_ctx.valid() ? append_ctx : obs::current_span());
-  send(peer, kTagAppend, w.take());
+  send(peer, w.take());
   PDC_OBS_COUNT("pdc.raft.append_sent");
 }
 
-void RaftNode::handle_request_vote(int src, const std::vector<std::uint8_t>& raw) {
-  wire::Reader r(raw);
+void RaftNode::handle_request_vote(int src, wire::Reader& r) {
   const std::uint64_t term = r.u64();
   const std::uint64_t cand_last_index = r.u64();
   const std::uint64_t cand_last_term = r.u64();
@@ -306,14 +314,13 @@ void RaftNode::handle_request_vote(int src, const std::vector<std::uint8_t>& raw
       reset_election_timer();
     }
   }
-  wire::Writer w;
+  wire::Writer w = rpc(kVoteReply);
   w.u64(storage_.current_term);
   w.u8(granted ? 1 : 0);
-  send(src, kTagVoteReply, w.take());
+  send(src, w.take());
 }
 
-void RaftNode::handle_vote_reply(int src, const std::vector<std::uint8_t>& raw) {
-  wire::Reader r(raw);
+void RaftNode::handle_vote_reply(int src, wire::Reader& r) {
   const std::uint64_t term = r.u64();
   const bool granted = r.u8() != 0;
   if (term > storage_.current_term) {
@@ -331,11 +338,10 @@ void RaftNode::handle_vote_reply(int src, const std::vector<std::uint8_t>& raw) 
   if (granted_votes() >= quorum()) become_leader();
 }
 
-void RaftNode::handle_append(int src, const std::vector<std::uint8_t>& raw) {
+void RaftNode::handle_append(int src, wire::Reader& r) {
   // Traced AppendEntries (stamped by the leader's replicate scope) get a
   // follower-side span; untraced ones make this a no-op guard.
   obs::SpanGuard append_span("raft.append", obs::take_incoming_span());
-  wire::Reader r(raw);
   const std::uint64_t term = r.u64();
   const std::uint64_t prev_index = r.u64();
   const std::uint64_t prev_term = r.u64();
@@ -344,12 +350,12 @@ void RaftNode::handle_append(int src, const std::vector<std::uint8_t>& raw) {
   const std::uint64_t n = r.u64();
 
   auto reply = [&](bool success, std::uint64_t match_or_hint) {
-    wire::Writer w;
+    wire::Writer w = rpc(kAppendReply);
     w.u64(storage_.current_term);
     w.u8(success ? 1 : 0);
     w.u64(match_or_hint);
     w.u64(round);
-    send(src, kTagAppendReply, w.take());
+    send(src, w.take());
   };
 
   if (term < storage_.current_term) {
@@ -404,8 +410,7 @@ void RaftNode::handle_append(int src, const std::vector<std::uint8_t>& raw) {
   reply(true, match);
 }
 
-void RaftNode::handle_append_reply(int src, const std::vector<std::uint8_t>& raw) {
-  wire::Reader r(raw);
+void RaftNode::handle_append_reply(int src, wire::Reader& r) {
   const std::uint64_t term = r.u64();
   const bool success = r.u8() != 0;
   const std::uint64_t match_or_hint = r.u64();
@@ -439,19 +444,18 @@ void RaftNode::handle_append_reply(int src, const std::vector<std::uint8_t>& raw
   }
 }
 
-void RaftNode::handle_install_snapshot(int src, const std::vector<std::uint8_t>& raw) {
-  wire::Reader r(raw);
+void RaftNode::handle_install_snapshot(int src, wire::Reader& r) {
   const std::uint64_t term = r.u64();
   const std::uint64_t snap_index = r.u64();
   const std::uint64_t snap_term = r.u64();
   const std::uint64_t round = r.u64();
   auto image = r.bytes();
   if (term < storage_.current_term) {
-    wire::Writer w;
+    wire::Writer w = rpc(kSnapshotReply);
     w.u64(storage_.current_term);
     w.u64(0);
     w.u64(round);
-    send(src, kTagSnapshotReply, w.take());
+    send(src, w.take());
     return;
   }
   step_down(term);
@@ -483,15 +487,14 @@ void RaftNode::handle_install_snapshot(int src, const std::vector<std::uint8_t>&
     obs::trace_instant("raft.snapshot_installed", snap_index);
     apply_committed();
   }
-  wire::Writer w;
+  wire::Writer w = rpc(kSnapshotReply);
   w.u64(storage_.current_term);
   w.u64(snap_index);
   w.u64(round);
-  send(src, kTagSnapshotReply, w.take());
+  send(src, w.take());
 }
 
-void RaftNode::handle_snapshot_reply(int src, const std::vector<std::uint8_t>& raw) {
-  wire::Reader r(raw);
+void RaftNode::handle_snapshot_reply(int src, wire::Reader& r) {
   const std::uint64_t term = r.u64();
   const std::uint64_t snap_index = r.u64();
   const std::uint64_t round = r.u64();

@@ -2,11 +2,11 @@
 // Ousterhout, "In Search of an Understandable Consensus Algorithm").
 //
 // One RaftNode runs per rank of an mp::Communicator. The protocol maps
-// onto the runtime the way the other dist lessons do: RPCs are tagged
-// eager messages, timers run on dist::RetryClock (virtual clock under
-// testkit::SimScheduler, wall clock otherwise), and every message may be
-// dropped / duplicated / reordered / partitioned by a
-// testkit::FaultInjector attached to the World.
+// onto the runtime the way the other dist lessons do: RPCs are eager
+// messages (one tag, a kind byte first), timers run on dist::RetryClock
+// (virtual clock under testkit::SimScheduler, wall clock otherwise), and
+// every message may be dropped / duplicated / reordered / partitioned by
+// a testkit::FaultInjector attached to the World.
 //
 // What is implemented, in paper terms:
 //  - leader election with randomized timeouts (§5.2), the election-safety
@@ -235,21 +235,24 @@ class RaftNode {
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
 
  private:
-  // Message tags (dist-wide tag map: 2PC 40s, clock-sync 60s, raft 70s).
-  static constexpr int kTagRequestVote = 70;
-  static constexpr int kTagVoteReply = 71;
-  static constexpr int kTagAppend = 72;
-  static constexpr int kTagAppendReply = 73;
-  static constexpr int kTagInstallSnapshot = 74;
-  static constexpr int kTagSnapshotReply = 75;
+  // All six RPCs travel on one tag (dist-wide tag map: 2PC 40s, clock-sync
+  // 60s, raft 70, kv 76/77), so a tick drains them in arrival order. The
+  // first payload byte is the RPC kind: its index in drain_messages()'s
+  // handler table.
+  static constexpr int kTagRaft = 70;
+  enum Rpc : std::uint8_t {
+    kRequestVote, kVoteReply, kAppend, kAppendReply, kInstallSnapshot,
+    kSnapshotReply,
+  };
 
   void drain_messages();
-  void handle_request_vote(int src, const std::vector<std::uint8_t>& raw);
-  void handle_vote_reply(int src, const std::vector<std::uint8_t>& raw);
-  void handle_append(int src, const std::vector<std::uint8_t>& raw);
-  void handle_append_reply(int src, const std::vector<std::uint8_t>& raw);
-  void handle_install_snapshot(int src, const std::vector<std::uint8_t>& raw);
-  void handle_snapshot_reply(int src, const std::vector<std::uint8_t>& raw);
+  // Each handler reads its RPC's body; the kind byte is already consumed.
+  void handle_request_vote(int src, wire::Reader& r);
+  void handle_vote_reply(int src, wire::Reader& r);
+  void handle_append(int src, wire::Reader& r);
+  void handle_append_reply(int src, wire::Reader& r);
+  void handle_install_snapshot(int src, wire::Reader& r);
+  void handle_snapshot_reply(int src, wire::Reader& r);
 
   void start_election();
   void become_leader();
@@ -261,7 +264,7 @@ class RaftNode {
   void apply_committed();
   void maybe_compact();
   void update_confirmed_round();
-  void send(int dest, int tag, std::vector<std::uint8_t> payload);
+  void send(int dest, const std::vector<std::uint8_t>& payload);
 
   [[nodiscard]] int quorum() const { return comm_.size() / 2 + 1; }
   [[nodiscard]] int granted_votes() const {

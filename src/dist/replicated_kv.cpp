@@ -116,13 +116,12 @@ void ReplicatedKV::step() {
 }
 
 void ReplicatedKV::serve_requests() {
-  while (auto info = comm_.iprobe(mp::kAnySource, kTagClientRequest)) {
-    const int src = info->source;
-    const auto raw = comm_.recv_vector<std::uint8_t>(src, kTagClientRequest);
-    // recv parked the request's trace context (if any) in the incoming
+  while (auto request = comm_.try_take(mp::kAnySource, kTagClientRequest)) {
+    const int src = request->envelope.source;
+    // The take parked the request's trace context (if any) in the incoming
     // slot; claim it now so it cannot leak onto an unrelated message.
     const obs::SpanContext incoming = obs::take_incoming_span();
-    wire::Reader r(raw);
+    wire::Reader r(request->payload);
     const auto kind = static_cast<OpKind>(r.u8());
     const std::uint64_t seq = r.u64();
     const std::string key = r.str();
@@ -314,10 +313,8 @@ KvResult ReplicatedKV::run_op(OpKind kind, const std::string& key,
   };
   while (!done) {
     step();
-    while (auto info = comm_.iprobe(mp::kAnySource, kTagClientReply)) {
-      const auto raw = comm_.recv_vector<std::uint8_t>(info->source,
-                                                       kTagClientReply);
-      wire::Reader r(raw);
+    while (auto reply = comm_.try_take(mp::kAnySource, kTagClientReply)) {
+      wire::Reader r(reply->payload);
       const std::uint64_t rseq = r.u64();
       const auto status = static_cast<WireStatus>(r.u8());
       const int hint = r.i32();

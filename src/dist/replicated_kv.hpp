@@ -132,7 +132,7 @@ class ReplicatedKV {
   [[nodiscard]] const KvMachine& machine() const { return machine_; }
 
  private:
-  // Client-facing tags continue the raft tag block (70..75).
+  // Client-facing tags, after Raft's one tag (70, kind byte first).
   static constexpr int kTagClientRequest = 76;
   static constexpr int kTagClientReply = 77;
 

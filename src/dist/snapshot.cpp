@@ -66,20 +66,20 @@ SnapshotResult run_token_snapshot(mp::Communicator& comm,
 
   auto handle_pending = [&] {
     bool handled = false;
-    while (auto info = comm.iprobe(mp::kAnySource, mp::kAnyTag)) {
+    while (auto message = comm.try_take(mp::kAnySource, mp::kAnyTag)) {
       handled = true;
-      if (info->tag == kTagDone) {
-        (void)comm.recv_value<char>(info->source, kTagDone);
+      if (message->envelope.tag == kTagDone) {
         ++done_received;
         continue;
       }
-      const auto msg = comm.recv_value<TrafficMsg>(info->source, kTagTraffic);
+      const int src = message->envelope.source;
+      const auto msg = message->as<TrafficMsg>();
       if (msg.is_marker) {
         if (!recorded) {
           // First marker: record state; the delivering channel is empty.
-          record_state(info->source);
-        } else if (recording[static_cast<std::size_t>(info->source)]) {
-          recording[static_cast<std::size_t>(info->source)] = false;
+          record_state(src);
+        } else if (recording[static_cast<std::size_t>(src)]) {
+          recording[static_cast<std::size_t>(src)] = false;
           --open_channels;
           if (recorded && open_channels == 0) {
             obs::trace_instant("snapshot.complete");
@@ -87,7 +87,7 @@ SnapshotResult run_token_snapshot(mp::Communicator& comm,
         }
       } else {
         tokens += msg.amount;
-        if (recorded && recording[static_cast<std::size_t>(info->source)]) {
+        if (recorded && recording[static_cast<std::size_t>(src)]) {
           result.recorded_in_flight += msg.amount;
         }
       }

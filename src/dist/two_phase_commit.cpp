@@ -55,9 +55,8 @@ TpcStats run_2pc_coordinator(mp::Communicator& comm,
       testkit::yield_point("2pc.coord.collect");
       for (int peer = 1; peer < p; ++peer) {
         if (voted[static_cast<std::size_t>(peer)]) continue;
-        if (comm.iprobe(peer, kTagVote)) {
-          votes[static_cast<std::size_t>(peer)] =
-              comm.recv_value<char>(peer, kTagVote);
+        if (auto vote = comm.try_take(peer, kTagVote)) {
+          votes[static_cast<std::size_t>(peer)] = vote->as<char>();
           voted[static_cast<std::size_t>(peer)] = 1;
           --pending;
         }
@@ -117,8 +116,7 @@ TpcStats run_2pc_coordinator(mp::Communicator& comm,
     while (pending > 0 && retry.elapsed_millis() < kRetryMillis) {
       for (int peer = 1; peer < p; ++peer) {
         if (acked[static_cast<std::size_t>(peer)]) continue;
-        if (comm.iprobe(peer, kTagAck)) {
-          (void)comm.recv_value<char>(peer, kTagAck);
+        if (comm.try_take(peer, kTagAck)) {
           acked[static_cast<std::size_t>(peer)] = 1;
           --pending;
         }
@@ -150,8 +148,8 @@ TpcStats run_2pc_participant(mp::Communicator& comm, bool vote_commit,
   RetryClock retry;
   for (;;) {
     testkit::yield_point("2pc.part.await");
-    if (auto info = comm.iprobe(0, kTagDecision)) {
-      const char wire = comm.recv_value<char>(0, kTagDecision);
+    if (auto decision = comm.try_take(0, kTagDecision)) {
+      const char wire = decision->as<char>();
       stats.decision = wire != 0 ? TxnDecision::kCommitted : TxnDecision::kAborted;
       obs::trace_instant(stats.decision == TxnDecision::kCommitted
                              ? "2pc.learned_commit"
@@ -163,8 +161,7 @@ TpcStats run_2pc_participant(mp::Communicator& comm, bool vote_commit,
       // lost, and once we return nobody answers the coordinator.
       RetryClock quiet;
       while (quiet.elapsed_millis() < 5.0 * kRetryMillis) {
-        if (comm.iprobe(0, kTagDecision)) {
-          (void)comm.recv_value<char>(0, kTagDecision);
+        if (comm.try_take(0, kTagDecision)) {
           comm.send_value(char{1}, 0, kTagAck);
           ++stats.messages_sent;
           PDC_OBS_COUNT("pdc.2pc.ack_sent");

@@ -54,6 +54,26 @@ void Fabric::deliver(std::size_t box, Message message, int src) {
 
 }  // namespace detail
 
+std::optional<Message> Communicator::try_take(int source, int tag) {
+  auto message = mailbox().try_match(user_context_, source, tag);
+  if (message) accept(*message);
+  return message;
+}
+
+Message Communicator::receive(std::uint32_t context, int source, int tag) {
+  Message message = mailbox().match(context, source, tag);
+  accept(message);
+  return message;
+}
+
+void Communicator::accept(const Message& message) {
+  PDC_OBS_COUNT("pdc.mp.received");
+  if (rank_received_ != nullptr) rank_received_->inc();
+  obs::wire_accept(message.envelope.trace, "mp.recv",
+                   static_cast<std::uint64_t>(message.envelope.source),
+                   message.payload.size());
+}
+
 double Communicator::wtime() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -122,12 +142,8 @@ Communicator Communicator::split(int color, int key) {
       i = j;
     }
   } else {
-    const RecvInfo info = [&] {
-      Message m = mailbox().match(user_context_ + 1, 0, kTagSplit);
-      assignment.resize(m.payload.size() / sizeof(std::int64_t));
-      return unpack(m, assignment.data(), assignment.size());
-    }();
-    (void)info;
+    assignment =
+        receive(user_context_ + 1, 0, kTagSplit).as_vector<std::int64_t>();
   }
 
   PDC_CHECK(assignment.size() >= 3);

@@ -8,6 +8,13 @@
 // blocking-send deadlock therefore cannot occur, which is documented
 // behaviour, not an accident).
 //
+// take()/try_take() are the matched receive — MPI-3's MPI_Improbe +
+// MPI_Mrecv in one call: one matching pass removes the message and hands
+// it over whole (envelope + payload), so a protocol that dispatches on the
+// source or tag never probes first. Every receive path, typed or whole,
+// collective or point-to-point, ends in one accept step that counts the
+// message and joins the sender's trace.
+//
 // Collectives are implemented on top of point-to-point with the textbook
 // algorithms: dissemination barrier, binomial-tree broadcast and reduce,
 // ring allgather, pairwise alltoall, Hillis–Steele scan, and a
@@ -132,7 +139,7 @@ class Communicator {
     Payload payload(count * sizeof(T));
     // memcpy needs valid pointers even for zero bytes; an empty vector's
     // data() may be null.
-    if (!payload.empty()) std::memcpy(payload.data(), data, payload.size());
+    if (count != 0) std::memcpy(payload.data(), data, payload.size());
     deliver(dest, user_context_, tag, std::move(payload));
   }
 
@@ -146,14 +153,23 @@ class Communicator {
     send(values.data(), values.size(), dest, tag);
   }
 
+  /// Matched receive: blocks until a matching message arrives and returns
+  /// it whole; decode with Message::as<T>() / as_vector<T>().
+  Message take(int source = kAnySource, int tag = kAnyTag) {
+    return receive(user_context_, source, tag);
+  }
+
+  /// Non-blocking take: nullopt when nothing matches right now.
+  std::optional<Message> try_take(int source = kAnySource, int tag = kAnyTag);
+
   /// Blocks until a matching message arrives; fills up to `capacity`
   /// elements. The sent count must not exceed `capacity`.
   template <typename T>
   RecvInfo recv(T* data, std::size_t capacity, int source = kAnySource,
                 int tag = kAnyTag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Message message = mailbox().match(user_context_, source, tag);
-    return unpack(message, data, capacity);
+    const Message message = take(source, tag);
+    message.copy_to(data, capacity);
+    return message.info();
   }
 
   template <typename T>
@@ -166,29 +182,12 @@ class Communicator {
   /// Receives a whole message as a vector, sized from the actual payload.
   template <typename T>
   std::vector<T> recv_vector(int source = kAnySource, int tag = kAnyTag) {
-    Message message = mailbox().match(user_context_, source, tag);
-    PDC_CHECK(message.payload.size() % sizeof(T) == 0);
-    std::vector<T> values(message.payload.size() / sizeof(T));
-    if (!values.empty()) {
-      std::memcpy(values.data(), message.payload.data(),
-                  message.payload.size());
-    }
-    PDC_OBS_COUNT("pdc.mp.received");
-    if (rank_received_ != nullptr) rank_received_->inc();
-    obs::wire_accept(message.envelope.trace, "mp.recv",
-                     static_cast<std::uint64_t>(message.envelope.source),
-                     message.payload.size());
-    return values;
+    return take(source, tag).as_vector<T>();
   }
 
   /// Blocks until a matching message is available without consuming it.
   RecvInfo probe(int source = kAnySource, int tag = kAnyTag) {
     return mailbox().probe(user_context_, source, tag);
-  }
-
-  /// Non-blocking probe: envelope of the first matching queued message.
-  std::optional<RecvInfo> iprobe(int source = kAnySource, int tag = kAnyTag) {
-    return mailbox().try_probe(user_context_, source, tag);
   }
 
   /// Nonblocking send: with eager delivery this completes immediately; the
@@ -204,18 +203,17 @@ class Communicator {
   template <typename T>
   Request irecv(T* data, std::size_t capacity, int source = kAnySource,
                 int tag = kAnyTag) {
-    static_assert(std::is_trivially_copyable_v<T>);
     Request request;
     request.state_ = std::make_shared<Request::State>();
     request.state_->try_complete = [this, data, capacity, source, tag]()
         -> std::optional<RecvInfo> {
-      auto message = mailbox().try_match(user_context_, source, tag);
+      auto message = try_take(source, tag);
       if (!message) return std::nullopt;
-      return unpack(*message, data, capacity);
+      message->copy_to(data, capacity);
+      return message->info();
     };
     request.state_->block = [this, data, capacity, source, tag] {
-      Message message = mailbox().match(user_context_, source, tag);
-      return unpack(message, data, capacity);
+      return recv(data, capacity, source, tag);
     };
     return request;
   }
@@ -539,33 +537,21 @@ class Communicator {
   template <typename T>
   void coll_send(const T* data, std::size_t count, int dest, int tag) {
     Payload payload(count * sizeof(T));
-    if (!payload.empty()) std::memcpy(payload.data(), data, payload.size());
+    if (count != 0) std::memcpy(payload.data(), data, payload.size());
     deliver(dest, user_context_ + 1, tag, std::move(payload));
   }
 
   template <typename T>
   void coll_recv(T* data, std::size_t capacity, int source, int tag) {
-    Message message = mailbox().match(user_context_ + 1, source, tag);
-    unpack(message, data, capacity);
+    receive(user_context_ + 1, source, tag).copy_to(data, capacity);
   }
 
-  template <typename T>
-  RecvInfo unpack(const Message& message, T* data, std::size_t capacity) {
-    PDC_CHECK_MSG(message.payload.size() % sizeof(T) == 0,
-                  "payload size not a multiple of the element size");
-    PDC_CHECK_MSG(message.payload.size() <= capacity * sizeof(T),
-                  "message larger than the receive buffer");
-    if (!message.payload.empty()) {
-      std::memcpy(data, message.payload.data(), message.payload.size());
-    }
-    PDC_OBS_COUNT("pdc.mp.received");
-    if (rank_received_ != nullptr) rank_received_->inc();
-    obs::wire_accept(message.envelope.trace, "mp.recv",
-                     static_cast<std::uint64_t>(message.envelope.source),
-                     message.payload.size());
-    return RecvInfo{message.envelope.source, message.envelope.tag,
-                    message.payload.size()};
-  }
+  /// Blocking match on `context`, then accept().
+  Message receive(std::uint32_t context, int source, int tag);
+
+  /// The accept step every receive ends in: counts the message in
+  /// pdc.mp.received and pdc.mp.rank_received, and joins the sender's trace.
+  void accept(const Message& message);
 
   /// Rank relative to `root` (tree algorithms are written root-at-zero).
   [[nodiscard]] int relative(int root) const {

@@ -33,19 +33,30 @@ std::size_t Mailbox::find_locked(std::uint32_t context, int source,
   return kNpos;
 }
 
-Message Mailbox::match(std::uint32_t context, int source, int tag) {
-  testkit::yield_point("mailbox.match");
-  std::unique_lock lock(mutex_);
-  std::size_t idx;
+std::size_t Mailbox::await_locked(std::unique_lock<std::mutex>& lock,
+                                  std::uint32_t context, int source, int tag,
+                                  const char* label) {
+  std::size_t idx = kNpos;
   testkit::wait(lock, arrived_,
                 [&] {
                   idx = find_locked(context, source, tag);
                   return idx != kNpos;
                 },
-                "mailbox.match.wait");
+                label);
+  return idx;
+}
+
+Message Mailbox::remove_locked(std::size_t idx) {
   Message message = std::move(queue_[idx]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
   return message;
+}
+
+Message Mailbox::match(std::uint32_t context, int source, int tag) {
+  testkit::yield_point("mailbox.match");
+  std::unique_lock lock(mutex_);
+  return remove_locked(
+      await_locked(lock, context, source, tag, "mailbox.match.wait"));
 }
 
 std::optional<Message> Mailbox::try_match(std::uint32_t context, int source,
@@ -54,40 +65,14 @@ std::optional<Message> Mailbox::try_match(std::uint32_t context, int source,
   std::scoped_lock lock(mutex_);
   const std::size_t idx = find_locked(context, source, tag);
   if (idx == kNpos) return std::nullopt;
-  Message message = std::move(queue_[idx]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-  return message;
+  return remove_locked(idx);
 }
 
 RecvInfo Mailbox::probe(std::uint32_t context, int source, int tag) {
   testkit::yield_point("mailbox.probe");
   std::unique_lock lock(mutex_);
-  std::size_t idx;
-  testkit::wait(lock, arrived_,
-                [&] {
-                  idx = find_locked(context, source, tag);
-                  return idx != kNpos;
-                },
-                "mailbox.probe.wait");
-  const Message& message = queue_[idx];
-  return RecvInfo{message.envelope.source, message.envelope.tag,
-                  message.payload.size()};
-}
-
-std::optional<RecvInfo> Mailbox::try_probe(std::uint32_t context, int source,
-                                           int tag) {
-  testkit::yield_point("mailbox.try_probe");
-  std::scoped_lock lock(mutex_);
-  const std::size_t idx = find_locked(context, source, tag);
-  if (idx == kNpos) return std::nullopt;
-  const Message& message = queue_[idx];
-  return RecvInfo{message.envelope.source, message.envelope.tag,
-                  message.payload.size()};
-}
-
-std::size_t Mailbox::pending() const {
-  std::scoped_lock lock(mutex_);
-  return queue_.size();
+  return queue_[await_locked(lock, context, source, tag, "mailbox.probe.wait")]
+      .info();
 }
 
 }  // namespace pdc::mp

@@ -35,19 +35,18 @@ class Mailbox {
   /// envelope and size without removing it (MPI_Probe analogue).
   RecvInfo probe(std::uint32_t context, int source, int tag);
 
-  /// Non-blocking probe (MPI_Iprobe analogue): envelope of the first
-  /// matching queued message, or nullopt.
-  std::optional<RecvInfo> try_probe(std::uint32_t context, int source, int tag);
-
-  /// Number of queued (unreceived) messages — diagnostics only.
-  [[nodiscard]] std::size_t pending() const;
-
  private:
   /// Index of the first queued message matching the triple, or npos.
   [[nodiscard]] std::size_t find_locked(std::uint32_t context, int source,
                                         int tag) const;
+  /// Waits under `lock` until a message matches; returns its index.
+  std::size_t await_locked(std::unique_lock<std::mutex>& lock,
+                           std::uint32_t context, int source, int tag,
+                           const char* label);
+  /// Removes and returns the queued message at `idx`.
+  Message remove_locked(std::size_t idx);
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable arrived_;
   std::deque<Message> queue_;
 };

@@ -1,13 +1,18 @@
 // Tests for pdc::mp: point-to-point semantics (matching, ordering,
-// wildcards, probe, nonblocking), every collective against a sequential
-// reference, communicator split, and SPMD launch behaviour.
+// wildcards, probe, nonblocking), the matched receive (take/try_take) and
+// the receive ledger every path feeds, every collective against a
+// sequential reference, communicator split, and SPMD launch behaviour.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mp/world.hpp"
+#include "obs/metrics.hpp"
+#include "support/check.hpp"
 
 namespace {
 
@@ -167,6 +172,147 @@ TEST(P2P, HeadToHeadExchangeCompletes) {
     comm.send_value(comm.rank(), other, 0);
     EXPECT_EQ(comm.recv_value<int>(other, 0), other);
   });
+}
+
+// ---------------------------------------------------------- matched receive
+
+std::string text(const Message& message) {
+  return {message.payload.begin(), message.payload.end()};
+}
+
+TEST(Take, TryTakeOnEmptyMailboxIsNullopt) {
+  World world(1);
+  world.run([](Communicator& comm) {
+    EXPECT_FALSE(comm.try_take(kAnySource, kAnyTag).has_value());
+  });
+}
+
+TEST(Take, TryTakeMatchesSourceAndTagInArrivalOrder) {
+  World world(1);
+  world.run([](Communicator& comm) {
+    comm.send("a", 1, 0, 1);
+    comm.send("b", 1, 0, 2);
+    comm.send("c", 1, 0, 1);
+    auto first = comm.try_take(0, 1);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(text(*first), "a");
+    auto second = comm.try_take(0, 1);  // overtakes "b": matching is by tag
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(text(*second), "c");
+    auto third = comm.try_take(kAnySource, 2);
+    ASSERT_TRUE(third.has_value());
+    EXPECT_EQ(text(*third), "b");
+    EXPECT_EQ(third->envelope.source, 0);
+    EXPECT_EQ(third->envelope.tag, 2);
+    EXPECT_FALSE(comm.try_take(kAnySource, kAnyTag).has_value());
+  });
+}
+
+TEST(Take, TakeBlocksAndDecodesInPlace) {
+  World world(2);
+  world.run([](Communicator& comm) {
+    if (comm.rank() == 0) {
+      comm.send_vector(std::vector<double>{1.5, 2.5}, 1, 9);
+    } else {
+      const Message message = comm.take(kAnySource, kAnyTag);
+      EXPECT_EQ(message.envelope.source, 0);
+      EXPECT_EQ(message.envelope.tag, 9);
+      EXPECT_EQ(message.as_vector<double>(), (std::vector<double>{1.5, 2.5}));
+    }
+  });
+}
+
+TEST(Take, DecodingTheWrongSizeThrows) {
+  Message message;
+  message.payload = {1, 2, 3};
+  EXPECT_THROW((void)message.as<int>(), pdc::support::CheckFailure);
+  EXPECT_THROW((void)message.as_vector<int>(), pdc::support::CheckFailure);
+  EXPECT_EQ(message.as_vector<std::uint8_t>().size(), 3u);
+}
+
+// Every receive path ends in one accept step. A run that drains each
+// message through a different path must move pdc.mp.received exactly as
+// far as pdc.mp.sent, and each rank's labeled series by exactly the
+// messages addressed to that rank.
+TEST(Take, EveryReceivePathFeedsTheReceiveLedger) {
+  if (!pdc::obs::kObsEnabled) GTEST_SKIP() << "built with PDCKIT_OBS_NOOP";
+  constexpr int kRanks = 4;
+  auto& registry = pdc::obs::MetricsRegistry::instance();
+  auto& sent = registry.counter("pdc.mp.sent");
+  auto& received = registry.counter("pdc.mp.received");
+  std::array<pdc::obs::Counter*, kRanks> rank_received{};
+  std::array<std::uint64_t, kRanks> before{};
+  for (int r = 0; r < kRanks; ++r) {
+    rank_received[r] = &registry.counter("pdc.mp.rank_received",
+                                         {{"rank", std::to_string(r)}});
+    before[r] = rank_received[r]->total();
+  }
+  const std::uint64_t sent_before = sent.total();
+  const std::uint64_t received_before = received.total();
+
+  World world(kRanks);
+  world.run([](Communicator& comm) {
+    switch (comm.rank()) {
+      case 0: {
+        int sum = 0;
+        for (int i = 1; i < kRanks; ++i) {
+          sum += comm.recv_value<int>(kAnySource, 1);
+        }
+        EXPECT_EQ(sum, 1 + 2 + 3);
+        const int pair[2] = {7, 8};
+        comm.send(pair, 2, 1, 2);
+        comm.send_vector(std::vector<int>{1, 2, 3}, 2, 3);
+        comm.send_value(4, 3, 4);
+        comm.send_value(5, 3, 4);
+        break;
+      }
+      case 1: {
+        comm.send_value(1, 0, 1);
+        int pair[2] = {};
+        EXPECT_EQ(comm.recv(pair, 2, 0, 2).count<int>(), 2u);
+        comm.send_value(6, 2, 5);
+        break;
+      }
+      case 2: {
+        comm.send_value(2, 0, 1);
+        EXPECT_EQ(comm.recv_vector<int>(0, 3).size(), 3u);
+        EXPECT_EQ(comm.take(1, 5).as<int>(), 6);
+        comm.send_value(7, 3, 6);
+        break;
+      }
+      case 3: {
+        comm.send_value(3, 0, 1);
+        int a = 0;
+        int b = 0;
+        Request polled = comm.irecv(&a, 1, 0, 4);
+        while (!polled.test()) std::this_thread::yield();
+        Request waited = comm.irecv(&b, 1, 0, 4);
+        waited.wait();
+        EXPECT_EQ(a + b, 9);
+        std::optional<Message> last;
+        while (!(last = comm.try_take(2, 6))) std::this_thread::yield();
+        EXPECT_EQ(last->as<int>(), 7);
+        break;
+      }
+    }
+    comm.barrier();
+    (void)comm.split(comm.rank() % 2, comm.rank());
+  });
+
+  // Point-to-point as addressed above; the dissemination barrier delivers
+  // log2(4) = 2 tokens to every rank; split gathers one entry per peer at
+  // rank 0 and sends every other rank its assignment.
+  constexpr std::array<std::uint64_t, kRanks> kP2p = {3, 1, 2, 3};
+  constexpr std::uint64_t kBarrier = 2;
+  constexpr std::array<std::uint64_t, kRanks> kSplit = {3, 1, 1, 1};
+  std::uint64_t addressed_total = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    const std::uint64_t addressed = kP2p[r] + kBarrier + kSplit[r];
+    EXPECT_EQ(rank_received[r]->total() - before[r], addressed) << "rank " << r;
+    addressed_total += addressed;
+  }
+  EXPECT_EQ(sent.total() - sent_before, addressed_total);
+  EXPECT_EQ(received.total() - received_before, addressed_total);
 }
 
 // ----------------------------------------------------------------- spmd run

@@ -1,7 +1,8 @@
 // Deterministic simulation tests for dist::Raft and dist::ReplicatedKV:
 // leader election, log convergence across a leader crash, stale-leader
 // rejection through a network partition, snapshot install to a lagging
-// follower, the term-start no-op barrier, and linearizability of the KV
+// follower, the term-start no-op barrier, malformed RPCs dropped and
+// counted, and linearizability of the KV
 // store — including the unsafe_early_commit teaching bug, which the
 // checker must catch with a replayable minimal trace.
 #include <gtest/gtest.h>
@@ -502,6 +503,56 @@ TEST(RaftSim, LeaderAppendsNoOpBarrierOnTermStart) {
   EXPECT_EQ(seen->index.load(), 1u);
   EXPECT_TRUE(seen->empty_command.load());
   EXPECT_EQ(seen->term.load(), 1u);
+}
+
+// ------------------------------------------------- malformed Raft traffic
+
+// Raft's RPCs share tag 70, kind byte first (docs/raft.md). A payload with
+// no kind byte, or a kind past the handler table, is dropped and counted
+// in pdc.raft.malformed: it must neither throw on the node's pump nor
+// keep the cluster from electing a leader and committing.
+TEST(RaftSim, MalformedRpcIsDroppedAndCounted) {
+  constexpr int kRanks = 3;
+  constexpr int kTagRaft = 70;
+  auto& malformed =
+      obs::MetricsRegistry::instance().counter("pdc.raft.malformed");
+  const std::uint64_t before = malformed.total();
+  std::atomic<bool> garbage_sent{false};
+  std::atomic<bool> put_done{false};
+  std::atomic<bool> put_ok{false};
+  std::vector<RaftPersistentState> storage(kRanks);
+  World world(kRanks);
+  auto bodies = world.rank_bodies([&](Communicator& comm) {
+    const int rank = comm.rank();
+    if (rank == 2) {
+      comm.send_vector(std::vector<std::uint8_t>{}, 0, kTagRaft);
+      comm.send_vector(std::vector<std::uint8_t>{6, 0, 0}, 0, kTagRaft);
+      garbage_sent = true;
+    }
+    dist::KvConfig cfg;
+    cfg.raft.seed = 11;
+    dist::ReplicatedKV kv(comm, storage[static_cast<std::size_t>(rank)], cfg);
+    auto spin = [&] {
+      kv.step();
+      testkit::poll_pause("kv.pump", 0.5e-3);
+    };
+    if (rank == 0) {
+      while (!garbage_sent.load()) spin();
+      put_ok = kv.put("k", "v").ok();
+      put_done = true;
+    }
+    while (!put_done.load()) spin();
+  });
+  SchedulerOptions options;
+  options.seed = 5;
+  options.max_steps = 1u << 22;
+  SimScheduler scheduler(options);
+  const auto report = scheduler.run(std::move(bodies));
+  ASSERT_TRUE(report.ok()) << report.error;
+  EXPECT_TRUE(put_ok.load());
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(malformed.total() - before, 2u);
+  }
 }
 
 // ------------------------------- linearizability: safe vs unsafe commit
