@@ -298,7 +298,7 @@ KvResult ReplicatedKV::run_op(OpKind kind, const std::string& key,
   };
   int target = raft_.leader_hint() >= 0 ? raft_.leader_hint() : comm_.rank();
   send_to(target);
-  const std::uint64_t op_start_us = obs::now_us();
+  const std::uint64_t op_start_us = obs::kObsEnabled ? obs::now_us() : 0;
 
   RetryClock deadline;
   RetryClock retry;

@@ -50,33 +50,20 @@ std::uint64_t get_u64(const Bytes& in, std::size_t at) {
 
 }  // namespace
 
-void MessageCodec::encode_message(const Bytes& payload, Bytes& wire) {
-  PDC_CHECK_MSG(payload.size() <= kMaxMessage, "message exceeds kMaxMessage");
-  wire.reserve(wire.size() + kHeaderBytes + payload.size());
-  put_u32(wire, static_cast<std::uint32_t>(payload.size()));
-  put_u16(wire, fletcher16(payload));
-  wire.insert(wire.end(), payload.begin(), payload.end());
-}
-
 void MessageCodec::encode_message(const Bytes& payload, Bytes& wire,
                                   obs::SpanContext trace) {
-  if (!trace.valid()) {
-    encode_message(payload, wire);
-    return;
-  }
   PDC_CHECK_MSG(payload.size() <= kMaxMessage, "message exceeds kMaxMessage");
-  wire.reserve(wire.size() + kHeaderBytes + kTraceHeaderBytes + payload.size());
-  put_u32(wire, static_cast<std::uint32_t>(payload.size()) | kTraceFlag);
+  const bool traced = trace.valid();
+  wire.reserve(wire.size() + kHeaderBytes +
+               (traced ? kTraceHeaderBytes : 0) + payload.size());
+  put_u32(wire, static_cast<std::uint32_t>(payload.size()) |
+                    (traced ? kTraceFlag : 0));
   put_u16(wire, fletcher16(payload));
-  put_u64(wire, trace.trace_id);
-  put_u64(wire, trace.span_id);
+  if (traced) {
+    put_u64(wire, trace.trace_id);
+    put_u64(wire, trace.span_id);
+  }
   wire.insert(wire.end(), payload.begin(), payload.end());
-}
-
-Status MessageCodec::send_message(StreamSocket& socket, const Bytes& payload) {
-  Bytes wire;
-  encode_message(payload, wire);
-  return socket.send(wire);
 }
 
 Status MessageCodec::send_message(StreamSocket& socket, const Bytes& payload,
@@ -131,10 +118,8 @@ MessageCodec::Scan MessageCodec::scan_message(const Bytes& buffer,
   return scan_core(buffer, offset, out, &trace);
 }
 
-support::Result<Bytes> MessageCodec::recv_message(StreamSocket& socket,
-                                                  obs::SpanContext* trace) {
-  if (trace != nullptr) *trace = obs::SpanContext{};
-  auto header = socket.recv_exact(6);
+support::Result<Bytes> MessageCodec::recv_message(StreamSocket& socket) {
+  auto header = socket.recv_exact(kHeaderBytes);
   if (!header.is_ok()) return header.status();
   const std::uint32_t word = get_u32(header.value(), 0);
   const std::uint32_t length = word & ~kTraceFlag;
@@ -145,10 +130,6 @@ support::Result<Bytes> MessageCodec::recv_message(StreamSocket& socket,
   if ((word & kTraceFlag) != 0) {
     auto extra = socket.recv_exact(kTraceHeaderBytes);
     if (!extra.is_ok()) return extra.status();
-    if (trace != nullptr) {
-      trace->trace_id = get_u64(extra.value(), 0);
-      trace->span_id = get_u64(extra.value(), 8);
-    }
   }
   auto payload = socket.recv_exact(length);
   if (!payload.is_ok()) return payload.status();

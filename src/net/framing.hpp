@@ -43,28 +43,23 @@ class MessageCodec {
   static constexpr std::size_t kTraceHeaderBytes = 16;
 
   /// Sends one framed message (header and payload in one buffer — one
-  /// socket send, one fabric event).
-  static support::Status send_message(StreamSocket& socket, const Bytes& payload);
-
-  /// Traced variant: embeds `trace` in the frame header when valid
-  /// (identical to the plain form when not).
+  /// socket send, one fabric event), embedding `trace` when valid.
   static support::Status send_message(StreamSocket& socket,
                                       const Bytes& payload,
-                                      obs::SpanContext trace);
+                                      obs::SpanContext trace = {});
 
   /// Appends the full wire frame (header + payload) for `payload` to
-  /// `wire`. Lets callers batch several frames into one send.
-  static void encode_message(const Bytes& payload, Bytes& wire);
-
-  /// Traced variant of encode_message.
+  /// `wire`, with `trace` in the header when valid (an invalid context
+  /// writes the plain frame). Lets callers batch several frames into one
+  /// send.
   static void encode_message(const Bytes& payload, Bytes& wire,
-                             obs::SpanContext trace);
+                             obs::SpanContext trace = {});
 
-  /// Receives one framed message; kAborted on checksum mismatch, kClosed
-  /// when the peer closed cleanly between messages. A traced frame's
-  /// context lands in `*trace` when non-null (zeroed otherwise).
-  static support::Result<Bytes> recv_message(StreamSocket& socket,
-                                             obs::SpanContext* trace = nullptr);
+  /// Receives one framed message (the client side; servers parse in place
+  /// with scan_message); kAborted on checksum mismatch, kClosed when the
+  /// peer closed cleanly between messages. A traced frame's context is
+  /// skipped.
+  static support::Result<Bytes> recv_message(StreamSocket& socket);
 
   enum class Scan {
     kFrame,     // a complete frame was parsed; `out` points into `buffer`

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "net/framing.hpp"
+#include "net/server.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 
@@ -135,16 +136,12 @@ LoadGenReport LoadGen::run(const LoadGenConfig& config) {
     for (std::size_t hop = 0; hop < config.max_redirect_hops; ++hop) {
       std::optional<Address> redirect;
       bool probed = false;
-      auto socket = net_.connect(config.first_client_host, target);
-      if (socket.is_ok()) {
-        StreamSocket probe = std::move(socket).value();
-        if (MessageCodec::send_message(probe, config.probe_request())
-                .is_ok()) {
-          auto reply = MessageCodec::recv_message(probe);
-          if (reply.is_ok()) {
-            probed = true;
-            redirect = config.redirect_of(reply.value());
-          }
+      Client probe(net_, config.first_client_host);
+      if (probe.connect(target).is_ok()) {
+        auto reply = probe.call(config.probe_request());
+        if (reply.is_ok()) {
+          probed = true;
+          redirect = config.redirect_of(reply.value());
         }
         probe.close();
       }

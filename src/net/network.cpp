@@ -153,15 +153,15 @@ StreamSocket::Drained StreamSocket::try_recv_into(Bytes& out) {
   PDC_CHECK(valid());
   Half& half = inbound();
   std::scoped_lock lock(half.mutex);
-  Drained drained{half.available(), half.closed};
-  if (drained.bytes != 0) {
-    out.insert(out.end(),
-               half.buffer.begin() + static_cast<std::ptrdiff_t>(half.head),
-               half.buffer.end());
-    half.buffer.clear();
-    half.head = 0;
-  }
-  return drained;
+  return half.take_into(out);
+}
+
+StreamSocket::Drained StreamSocket::recv_into(Bytes& out) {
+  PDC_CHECK(valid());
+  Half& half = inbound();
+  std::unique_lock lock(half.mutex);
+  half.arrived.wait(lock, [&] { return half.available() != 0 || half.closed; });
+  return half.take_into(out);
 }
 
 void StreamSocket::watch(ReadySet* set, std::uint64_t tag) {
@@ -201,6 +201,17 @@ void StreamSocket::abort() {
   if (!valid()) return;
   state_->a_to_b.deliver({}, /*fin=*/true);
   state_->b_to_a.deliver({}, /*fin=*/true);
+}
+
+StreamSocket::Drained StreamSocket::Half::take_into(Bytes& out) {
+  const Drained drained{available(), closed};
+  if (drained.bytes != 0) {
+    out.insert(out.end(), buffer.begin() + static_cast<std::ptrdiff_t>(head),
+               buffer.end());
+    buffer.clear();
+    head = 0;
+  }
+  return drained;
 }
 
 bool StreamSocket::Half::deliver(const Bytes& data, bool fin) {

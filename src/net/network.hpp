@@ -194,6 +194,10 @@ class StreamSocket {
   /// `closed` is set (a FIN behind buffered data).
   Drained try_recv_into(Bytes& out);
 
+  /// Blocking twin of try_recv_into: waits until at least one byte or the
+  /// peer's close is pending, then appends everything buffered.
+  Drained recv_into(Bytes& out);
+
   /// Registers this socket's inbound direction with a ReadySet: `tag` is
   /// enqueued when data or a close is (or becomes) available. One watcher
   /// per socket; watching again replaces the previous registration.
@@ -234,6 +238,8 @@ class StreamSocket {
     double last_due = 0.0;
 
     [[nodiscard]] std::size_t available() const { return buffer.size() - head; }
+    /// Moves every live byte to the end of `out` (caller holds `mutex`).
+    Drained take_into(Bytes& out);
     /// The one stream delivery step: under this half's lock, appends
     /// `data` — or, with `fin`, marks the direction closed — enqueues the
     /// watcher's tag, then wakes blocked readers. Runs on the sending

@@ -29,12 +29,6 @@ using support::StatusCode;
 struct Server::EventEngine {
   static constexpr std::uint64_t kListenerTag = 0;
 
-  struct Conn {
-    StreamSocket socket;
-    Bytes rx;             // receive buffer; frames parsed in place
-    std::size_t off = 0;  // parse offset into rx
-  };
-
   struct alignas(64) Shard {
     std::mutex mutex;
     std::unordered_map<std::uint64_t, Conn> conns;
@@ -178,58 +172,10 @@ struct Server::EventEngine {
 
   /// Drains and serves one connection; false when it should be closed.
   bool process(Conn& conn) {
-    const auto drained = conn.socket.try_recv_into(conn.rx);
-    bool alive = true;
-    for (;;) {
-      BytesView request;
-      obs::SpanContext trace;
-      const auto scan =
-          MessageCodec::scan_message(conn.rx, conn.off, request, trace);
-      if (scan == MessageCodec::Scan::kNeedMore) break;
-      if (scan == MessageCodec::Scan::kCorrupt) {
-        alive = false;
-        break;
-      }
-      PDC_OBS_COUNT("pdc.server.frames");
-      if (!dispatch(conn, request, trace)) {
-        alive = false;
-        break;
-      }
-    }
-    if (conn.off == conn.rx.size()) {
-      conn.rx.clear();
-      conn.off = 0;
-    } else if (conn.off >= 4096 && conn.off * 2 >= conn.rx.size()) {
-      conn.rx.erase(conn.rx.begin(),
-                    conn.rx.begin() + static_cast<std::ptrdiff_t>(conn.off));
-      conn.off = 0;
-    }
-    // Peer FIN: frames ahead of it were answered above; a trailing partial
-    // frame can never complete.
-    if (drained.closed) alive = false;
-    return alive;
-  }
-
-  bool dispatch(Conn& conn, BytesView request, obs::SpanContext trace) {
-    if (server.config_.raw_handler) {
-      const Bytes owned = request.to_owned();
-      if (server.config_.raw_handler(owned, conn.socket)) {
-        server.requests_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    // The handler runs as a child span of the client's request: the
-    // bracket covers invoke + reply send, and the ambient scope lets
-    // anything the handler submits downstream inherit the trace.
-    obs::SpanGuard span("server.drain", trace);
-    const std::uint64_t drain_start_us = obs::now_us();
-    const Bytes reply = server.invoke(request);
-    server.requests_.fetch_add(1, std::memory_order_relaxed);
-    const bool sent = MessageCodec::send_message(conn.socket, reply).is_ok();
-    // Same bracket as the span (invoke + reply send) — the series the
-    // server.drain.p99 SLO rule windows.
-    PDC_OBS_HIST("pdc.server.drain_us", obs::now_us() - drain_start_us);
-    return sent;
+    const bool closed = conn.socket.try_recv_into(conn.rx).closed;
+    // Peer FIN: frames ahead of it are answered; a trailing partial frame
+    // can never complete.
+    return server.serve_buffered(conn) && !closed;
   }
 
   /// stop() path: called after the loop thread joined. Aborts every live
@@ -265,6 +211,53 @@ struct Server::EventEngine {
 };
 
 // --------------------------------------------------------------------- Server
+
+bool Server::serve_buffered(Conn& conn) {
+  for (;;) {
+    BytesView request;
+    obs::SpanContext trace;
+    const auto scan =
+        MessageCodec::scan_message(conn.rx, conn.off, request, trace);
+    if (scan == MessageCodec::Scan::kNeedMore) break;
+    if (scan == MessageCodec::Scan::kCorrupt) return false;
+    // Event-engine frames only: a scrape served by a thread-per-connection
+    // TelemetryServer must not count itself into the scrape it renders,
+    // and the reference benchmark's frame ledger balances this delta
+    // against the requests its client sent.
+    if (engine_) PDC_OBS_COUNT("pdc.server.frames");
+    if (!serve_frame(conn.socket, request, trace)) return false;
+  }
+  if (conn.off == conn.rx.size()) {
+    conn.rx.clear();
+    conn.off = 0;
+  } else if (conn.off >= 4096 && conn.off * 2 >= conn.rx.size()) {
+    conn.rx.erase(conn.rx.begin(),
+                  conn.rx.begin() + static_cast<std::ptrdiff_t>(conn.off));
+    conn.off = 0;
+  }
+  return true;
+}
+
+bool Server::serve_frame(StreamSocket& socket, BytesView request,
+                         obs::SpanContext trace) {
+  if (config_.raw_handler && config_.raw_handler(request, socket)) {
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  // The handler runs as a child span of the client's request: the
+  // bracket covers invoke + reply send, and the ambient scope lets
+  // anything the handler submits downstream inherit the trace.
+  obs::SpanGuard span("server.drain", trace);
+  const std::uint64_t drain_start_us = obs::kObsEnabled ? obs::now_us() : 0;
+  const Bytes reply = config_.view_handler ? config_.view_handler(request)
+                                           : handler_(request.to_owned());
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  const bool sent = MessageCodec::send_message(socket, reply).is_ok();
+  // Same bracket as the span (invoke + reply send) — the series the
+  // server.drain.p99 SLO rule windows.
+  PDC_OBS_HIST("pdc.server.drain_us", obs::now_us() - drain_start_us);
+  return sent;
+}
 
 Server::Server(Network& net, int host, std::uint16_t port, Handler handler,
                ServerConfig config)
@@ -309,11 +302,6 @@ std::vector<obs::SloRule> Server::default_slo_rules(double window_scale,
       obs::latency_slo("server.drain.p99", "pdc.server.drain_us", 0.99,
                        drain_p99_us, window_scale),
   };
-}
-
-Bytes Server::invoke(BytesView request) {
-  if (config_.view_handler) return config_.view_handler(request);
-  return handler_(request.to_owned());
 }
 
 void Server::stop() {
@@ -393,53 +381,19 @@ void Server::accept_loop() {
 }
 
 void Server::serve_connection(StreamSocket socket) {
+  Conn conn{std::move(socket), {}, 0};
   for (;;) {
-    obs::SpanContext trace;
-    auto request = MessageCodec::recv_message(socket, &trace);
-    if (!request.is_ok()) break;  // closed or corrupt stream
-    if (config_.raw_handler && config_.raw_handler(request.value(), socket)) {
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    obs::SpanGuard span("server.drain", trace);
-    const std::uint64_t drain_start_us = obs::now_us();
-    const Bytes& owned = request.value();
-    Bytes reply = invoke(BytesView{owned.data(), owned.size()});
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    const bool sent = MessageCodec::send_message(socket, reply).is_ok();
-    PDC_OBS_HIST("pdc.server.drain_us", obs::now_us() - drain_start_us);
-    if (!sent) break;
+    const bool closed = conn.socket.recv_into(conn.rx).closed;
+    if (!serve_buffered(conn) || closed) break;
   }
-  socket.close();
+  conn.socket.close();
 }
 
 void Server::drain_buffered(StreamSocket socket) {
-  Bytes rx;
-  std::size_t off = 0;
-  (void)socket.try_recv_into(rx);
-  for (;;) {
-    BytesView request;
-    obs::SpanContext trace;
-    if (MessageCodec::scan_message(rx, off, request, trace) !=
-        MessageCodec::Scan::kFrame) {
-      break;
-    }
-    if (config_.raw_handler) {
-      const Bytes owned = request.to_owned();
-      if (config_.raw_handler(owned, socket)) {
-        requests_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-    }
-    obs::SpanGuard span("server.drain", trace);
-    const std::uint64_t drain_start_us = obs::now_us();
-    const Bytes reply = invoke(request);
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    const bool sent = MessageCodec::send_message(socket, reply).is_ok();
-    PDC_OBS_HIST("pdc.server.drain_us", obs::now_us() - drain_start_us);
-    if (!sent) break;
-  }
-  socket.close();
+  Conn conn{std::move(socket), {}, 0};
+  (void)conn.socket.try_recv_into(conn.rx);
+  (void)serve_buffered(conn);
+  conn.socket.close();
 }
 
 Status Client::connect(const Address& server) {
@@ -454,6 +408,10 @@ support::Result<Bytes> Client::call(const Bytes& request) {
   if (auto status = MessageCodec::send_message(socket_, request); !status.is_ok()) {
     return status;
   }
+  return recv();
+}
+
+support::Result<Bytes> Client::recv() {
   return MessageCodec::recv_message(socket_);
 }
 

@@ -12,9 +12,14 @@
 //  - kEventDriven: a readiness loop over the simulated fabric multiplexes
 //    every connection onto a lock-free WorkStealingPool. Connections are
 //    sharded by id; each ready batch is drained by a task on the shard,
-//    frames are parsed zero-copy against the connection's receive buffer,
 //    and handler invocations run inline in the task. This is the model
 //    that holds 10^5..10^6 concurrent connections (see docs/serving.md).
+//
+// The models differ only in who waits for bytes. Each appends what the
+// socket holds to the connection's receive buffer (the event engine and
+// the worker-pool stop drain without waiting, the connection threads
+// blocking), then one serve step parses every complete frame in place and
+// answers it: raw handler, server.drain span, handler, reply.
 //
 // The RPC layer adds named-procedure dispatch on top (the "middleware"
 // rung of the distributed-systems lecture).
@@ -40,8 +45,8 @@ using Handler = std::function<Bytes(const Bytes& request)>;
 
 /// Zero-copy variant: the request is a view into the connection's receive
 /// buffer, valid only for the duration of the call. When set, it replaces
-/// Handler on every threading model (the event engine never materializes
-/// the request; the legacy models pass a view of their owned copy).
+/// Handler on every threading model; the request is not copied out of
+/// the receive buffer.
 using ViewHandler = std::function<Bytes(BytesView request)>;
 
 /// Stream-level interceptor, consulted before `Handler` for every framed
@@ -50,8 +55,9 @@ using ViewHandler = std::function<Bytes(BytesView request)>;
 /// request-response service), false to fall through to the one-reply
 /// Handler. This is how an endpoint pushes multi-frame streams — e.g. the
 /// telemetry plane's delta subscriptions — without abandoning the framed
-/// request/reply framework.
-using RawHandler = std::function<bool(const Bytes& request, StreamSocket& socket)>;
+/// request/reply framework. The request is a view into the receive buffer
+/// like ViewHandler's, valid only for the call.
+using RawHandler = std::function<bool(BytesView request, StreamSocket& socket)>;
 
 enum class ThreadingModel {
   kThreadPerConnection,  // classic: simple, unbounded threads
@@ -102,12 +108,25 @@ class Server {
   struct EventEngine;  // defined in server.cpp (owns the task pool)
   friend struct EventEngine;
 
+  /// One connection's receive state, whatever the threading model.
+  struct Conn {
+    StreamSocket socket;
+    Bytes rx;             // receive buffer; frames parsed in place
+    std::size_t off = 0;  // parse offset into rx
+  };
+
   void accept_loop();
   void serve_connection(StreamSocket socket);
   /// Answers every complete frame already buffered on `socket` without
   /// blocking, then closes it gracefully (stop()-time drain).
   void drain_buffered(StreamSocket socket);
-  Bytes invoke(BytesView request);
+  /// Answers every complete frame in `conn.rx`, then compacts it; false
+  /// when the connection should be closed (corrupt frame, reply failed).
+  bool serve_buffered(Conn& conn);
+  /// The per-frame step of every threading model; false when the reply
+  /// could not be sent.
+  bool serve_frame(StreamSocket& socket, BytesView request,
+                   obs::SpanContext trace);
 
   Network& net_;
   Handler handler_;
@@ -136,6 +155,10 @@ class Client {
   /// One round trip; kClosed if the server went away.
   support::Result<Bytes> call(const Bytes& request);
   support::Result<std::string> call_text(const std::string& request);
+
+  /// Receives the next frame the server pushes after a call (a RawHandler
+  /// stream); kClosed if the server went away.
+  support::Result<Bytes> recv();
 
   void close();
 

@@ -231,7 +231,7 @@ auto Aggregator::fetch_all(const std::string& endpoint, Parse parse) {
   std::vector<std::optional<T>> slots(targets.size());
   std::atomic<std::uint64_t> errors{0};
   parallel::fan_out(pool_, targets.size(), [&](std::size_t i) {
-    [[maybe_unused]] const std::uint64_t start = now_us();
+    const std::uint64_t start = kObsEnabled ? now_us() : 0;
     auto reply = fetch_text(targets[i], endpoint);
     PDC_OBS_HIST("pdc.fed.scrape_us", now_us() - start);
     if (reply.is_ok() && reply.value().starts_with("{\"error\"")) return;
@@ -255,7 +255,7 @@ MetricsSnapshot Aggregator::federate() {
        fetch_all("/metrics.wire", &MetricsSnapshot::from_wire)) {
     sources.push_back({std::move(source), std::move(snapshot)});
   }
-  const std::uint64_t merge_start = now_us();
+  const std::uint64_t merge_start = kObsEnabled ? now_us() : 0;
   MetricsSnapshot merged = merge_federated(sources);
   PDC_OBS_HIST("pdc.fed.merge_us", now_us() - merge_start);
   PDC_OBS_COUNT("pdc.fed.scrapes");

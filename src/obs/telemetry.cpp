@@ -315,7 +315,7 @@ TelemetryServer::TelemetryServer(net::Network& net, int host,
   net::ServerConfig server_config;
   server_config.model = config.model;
   server_config.workers = 2;  // worker-pool and event-driven models
-  server_config.raw_handler = [this](const net::Bytes& request,
+  server_config.raw_handler = [this](net::BytesView request,
                                      net::StreamSocket& socket) {
     return handle_stream(request, socket);
   };
@@ -477,7 +477,7 @@ std::vector<Route> TelemetryServer::make_routes() {
 }
 
 net::Bytes TelemetryServer::handle(const net::Bytes& request) {
-  const std::uint64_t start = now_us();
+  const std::uint64_t start = kObsEnabled ? now_us() : 0;
   std::string body = serve_route(routes_, net::to_string(request));
   // Self-accounting strictly after the render: a scrape must never observe
   // its own request (determinism contract in the header).
@@ -486,9 +486,10 @@ net::Bytes TelemetryServer::handle(const net::Bytes& request) {
   return net::to_bytes(body);
 }
 
-bool TelemetryServer::handle_stream(const net::Bytes& request,
+bool TelemetryServer::handle_stream(net::BytesView request,
                                     net::StreamSocket& socket) {
-  const std::string text = net::to_string(request);
+  const std::string_view text(reinterpret_cast<const char*>(request.data),
+                              request.size);
   const bool is_subscribe = route_matches("/subscribe", text);
   // A NOOP build falls through: the /trace/stream route then answers the
   // tracing family's body as one frame, like the rest of the family.
@@ -496,7 +497,7 @@ bool TelemetryServer::handle_stream(const net::Bytes& request,
       kObsEnabled && route_matches("/trace/stream", text);
   if (!is_subscribe && !is_trace_stream) return false;
   const std::string_view verb = is_subscribe ? "/subscribe" : "/trace/stream";
-  std::istringstream in(text.substr(verb.size()));
+  std::istringstream in(std::string(text.substr(verb.size())));
   std::uint64_t frames = 0;
   std::uint64_t interval_ms = 0;
   std::string filter;
@@ -576,22 +577,11 @@ bool TelemetryServer::stream_trace(std::uint64_t frames,
 }
 
 support::Status TelemetryClient::connect(const net::Address& server) {
-  auto socket = net_.connect(host_, server);
-  if (!socket.is_ok()) return socket.status();
-  socket_ = std::move(socket).value();
-  return support::Status::ok();
+  return client_.connect(server);
 }
 
 support::Result<std::string> TelemetryClient::get(const std::string& endpoint) {
-  PDC_CHECK_MSG(socket_.valid(), "get before connect");
-  if (auto status =
-          net::MessageCodec::send_message(socket_, net::to_bytes(endpoint));
-      !status.is_ok()) {
-    return status;
-  }
-  auto reply = net::MessageCodec::recv_message(socket_);
-  if (!reply.is_ok()) return reply.status();
-  return net::to_string(reply.value());
+  return client_.call_text(endpoint);
 }
 
 support::Status TelemetryClient::subscribe(
@@ -618,26 +608,21 @@ support::Status TelemetryClient::stream_trace(
 support::Status TelemetryClient::stream(
     const std::string& request, std::size_t frames,
     const std::function<void(const std::string&)>& on_frame) {
-  PDC_CHECK_MSG(socket_.valid(), "stream before connect");
-  if (auto status =
-          net::MessageCodec::send_message(socket_, net::to_bytes(request));
-      !status.is_ok()) {
-    return status;
-  }
-  for (std::size_t i = 0; i < frames; ++i) {
-    auto frame = net::MessageCodec::recv_message(socket_);
+  auto frame = client_.call(net::to_bytes(request));
+  for (std::size_t i = 1;; ++i) {
     if (!frame.is_ok()) return frame.status();
     const std::string text = net::to_string(frame.value());
     on_frame(text);
     // A usage/collector problem arrives as a single error frame; stop
     // instead of blocking on frames the server will never push.
-    if (text.starts_with("{\"error\"") || text.starts_with("error:")) break;
+    if (i >= frames || text.starts_with("{\"error\"") ||
+        text.starts_with("error:")) {
+      return support::Status::ok();
+    }
+    frame = client_.recv();
   }
-  return support::Status::ok();
 }
 
-void TelemetryClient::close() {
-  if (socket_.valid()) socket_.close();
-}
+void TelemetryClient::close() { client_.close(); }
 
 }  // namespace pdc::obs

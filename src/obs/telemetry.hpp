@@ -182,7 +182,7 @@ class TelemetryServer {
   [[nodiscard]] MetricsRegistry& registry() const;
   [[nodiscard]] std::vector<Route> make_routes();
   net::Bytes handle(const net::Bytes& request);
-  bool handle_stream(const net::Bytes& request, net::StreamSocket& socket);
+  bool handle_stream(net::BytesView request, net::StreamSocket& socket);
   bool stream_subscription(std::uint64_t frames, std::uint64_t interval_ms,
                            const std::string& filter,
                            net::StreamSocket& socket);
@@ -203,7 +203,7 @@ class TelemetryServer {
 /// need no framing code of their own.
 class TelemetryClient {
  public:
-  TelemetryClient(net::Network& net, int host) : net_(net), host_(host) {}
+  TelemetryClient(net::Network& net, int host) : client_(net, host) {}
 
   support::Status connect(const net::Address& server);
 
@@ -229,15 +229,13 @@ class TelemetryClient {
   void close();
 
  private:
-  /// Sends `request`, then hands up to `frames` pushed frames to
-  /// `on_frame`, stopping early at an error frame.
+  /// Sends `request`, then hands up to `frames` pushed frames (at least
+  /// the first) to `on_frame`, stopping early at an error frame.
   support::Status stream(
       const std::string& request, std::size_t frames,
       const std::function<void(const std::string&)>& on_frame);
 
-  net::Network& net_;
-  int host_;
-  net::StreamSocket socket_;
+  net::Client client_;
 };
 
 }  // namespace pdc::obs

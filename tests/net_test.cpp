@@ -674,15 +674,23 @@ TEST(Framing, ScanMessageFlagsCorruption) {
 // ------------------------------------------------------------ client-server
 
 class ServerModelTest
-    : public ::testing::TestWithParam<std::tuple<ThreadingModel, double>> {};
+    : public ::testing::TestWithParam<std::tuple<ThreadingModel, double>> {
+ protected:
+  [[nodiscard]] NetConfig net_config() const {
+    return net_at(std::get<1>(GetParam()));
+  }
+  [[nodiscard]] ServerConfig server_config() const {
+    ServerConfig config;
+    config.model = std::get<0>(GetParam());
+    config.workers = 3;
+    return config;
+  }
+};
 
 TEST_P(ServerModelTest, EchoServesConcurrentClients) {
-  Network net(4, net_at(std::get<1>(GetParam())));
-  ServerConfig config;
-  config.model = std::get<0>(GetParam());
-  config.workers = 3;
+  Network net(4, net_config());
   Server server(net, 0, 80,
-                [](const Bytes& request) { return request; }, config);
+                [](const Bytes& request) { return request; }, server_config());
 
   std::vector<std::thread> clients;
   std::atomic<int> ok{0};
@@ -703,6 +711,84 @@ TEST_P(ServerModelTest, EchoServesConcurrentClients) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(ok.load(), 3);
   EXPECT_EQ(server.requests_served(), 60u);
+  server.stop();
+}
+
+TEST_P(ServerModelTest, ViewHandlerEchoes) {
+  Network net(3, net_config());
+  ServerConfig config = server_config();
+  config.view_handler = [](BytesView request) { return request.to_owned(); };
+  Server server(net, 0, 80, nullptr, config);
+  Client client(net, 1);
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  for (int i = 0; i < 10; ++i) {
+    const std::string msg = "zero-copy#" + std::to_string(i);
+    auto reply = client.call_text(msg);
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(reply.value(), msg);
+  }
+  client.close();
+  server.stop();
+  EXPECT_EQ(server.requests_served(), 10u);
+}
+
+// Returning true from the raw handler suppresses the reply: the handler
+// owns the socket's response schedule, and sees the request in place.
+TEST_P(ServerModelTest, RawHandlerCanSuppressReplies) {
+  Network net(2, net_config());
+  ServerConfig config = server_config();
+  config.raw_handler = [](BytesView request, StreamSocket& socket) {
+    (void)MessageCodec::send_message(
+        socket, to_bytes("raw:" + to_string(request.to_owned())));
+    return true;
+  };
+  Server server(net, 0, 80, [](const Bytes& b) { return b; }, config);
+  Client client(net, 1);
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  auto reply = client.call_text("ignored");
+  ASSERT_TRUE(reply.is_ok());
+  EXPECT_EQ(reply.value(), "raw:ignored");
+  client.close();
+  server.stop();
+  EXPECT_EQ(server.requests_served(), 1u);
+}
+
+// However the stream splits the frames — three in one send, one torn
+// across two sends with a pause between — every model answers them in
+// order, then closes the connection at a corrupt frame.
+TEST_P(ServerModelTest, ServesPipelinedAndSplitFramesThenClosesOnCorruption) {
+  Network net(2, net_config());
+  Server server(net, 0, 80, [](const Bytes& b) { return b; }, server_config());
+  auto connected = net.connect(1, server.address());
+  ASSERT_TRUE(connected.is_ok());
+  StreamSocket socket = std::move(connected).value();
+
+  Bytes three;
+  for (const char* msg : {"one", "two", "three"}) {
+    MessageCodec::encode_message(to_bytes(msg), three);
+  }
+  ASSERT_TRUE(socket.send(three).is_ok());
+  Bytes fourth;
+  MessageCodec::encode_message(to_bytes("four"), fourth);
+  // Cut inside the payload: the header parses, the body has to wait.
+  const auto cut = static_cast<std::ptrdiff_t>(MessageCodec::kHeaderBytes + 2);
+  ASSERT_TRUE(socket.send(Bytes(fourth.begin(), fourth.begin() + cut)).is_ok());
+  std::this_thread::sleep_for(20ms);
+  ASSERT_TRUE(socket.send(Bytes(fourth.begin() + cut, fourth.end())).is_ok());
+  Bytes corrupt;
+  MessageCodec::encode_message(to_bytes("five"), corrupt);
+  corrupt.back() ^= std::byte{0x01};
+  ASSERT_TRUE(socket.send(corrupt).is_ok());
+
+  for (const char* msg : {"one", "two", "three", "four"}) {
+    auto reply = MessageCodec::recv_message(socket);
+    ASSERT_TRUE(reply.is_ok());
+    EXPECT_EQ(to_string(reply.value()), msg);
+  }
+  EXPECT_EQ(MessageCodec::recv_message(socket).status().code(),
+            StatusCode::kClosed);
+  EXPECT_EQ(server.requests_served(), 4u);
+  socket.close();
   server.stop();
 }
 
@@ -776,26 +862,6 @@ TEST(Server, WorkerPoolStopDrainsQueuedConnections) {
   blocker.join();
   for (auto& t : waiters) t.join();
   EXPECT_EQ(ok.load(), 4);
-}
-
-TEST(Server, EventDrivenViewHandlerEchoes) {
-  Network net(3, fast_net());
-  ServerConfig config;
-  config.model = ThreadingModel::kEventDriven;
-  config.workers = 2;
-  config.view_handler = [](BytesView request) { return request.to_owned(); };
-  Server server(net, 0, 80, nullptr, config);
-  Client client(net, 1);
-  ASSERT_TRUE(client.connect(server.address()).is_ok());
-  for (int i = 0; i < 10; ++i) {
-    const std::string msg = "zero-copy#" + std::to_string(i);
-    auto reply = client.call_text(msg);
-    ASSERT_TRUE(reply.is_ok());
-    EXPECT_EQ(reply.value(), msg);
-  }
-  client.close();
-  server.stop();
-  EXPECT_EQ(server.requests_served(), 10u);
 }
 
 TEST(Server, StopUnblocksEverything) {

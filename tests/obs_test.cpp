@@ -779,6 +779,27 @@ TEST(Telemetry, UnknownEndpointAndMissingCollectorAnswerErrors) {
   client.close();
 }
 
+// pdc.server.frames and pdc.server.accepted count the event engine only:
+// GETs served by a thread-per-connection TelemetryServer never show up in
+// the process-wide registry, so a scrape does not count itself.
+TEST(Telemetry, ThreadPerConnectionGetsCountNoServerFrames) {
+  auto& registry = MetricsRegistry::instance();
+  registry.reset();
+  net::Network net(2, fast_net());
+  obs::TelemetryServer server(net, 0, 9100);
+  obs::TelemetryClient client(net, 1);
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  ASSERT_TRUE(client.get("/healthz").is_ok());
+  ASSERT_TRUE(client.get("/metrics").is_ok());
+  client.close();
+  server.stop();
+  // reset() keeps series registered by other tests' event-driven servers,
+  // so read the values rather than whether the series exist.
+  const obs::MetricsSnapshot scrape = registry.scrape();
+  EXPECT_EQ(scrape.counter("pdc.server.frames"), 0u);
+  EXPECT_EQ(scrape.counter("pdc.server.accepted"), 0u);
+}
+
 TEST(Telemetry, SubscriptionDeliversMonotoneCursors) {
   auto& registry = MetricsRegistry::instance();
   registry.reset();

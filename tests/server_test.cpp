@@ -186,24 +186,4 @@ TEST(ServerLoad, FixedSeedScrapeIsByteStable) {
   EXPECT_NE(a.find("storm_sent 4000"), std::string::npos);
 }
 
-// Raw handler on the event loop: returning true suppresses the reply (the
-// handler owns the socket's response schedule).
-TEST(ServerLoad, EventDrivenRawHandlerCanSuppressReplies) {
-  Network net(2, fast_net());
-  ServerConfig config;
-  config.model = ThreadingModel::kEventDriven;
-  config.raw_handler = [](const Bytes&, StreamSocket& socket) {
-    (void)MessageCodec::send_message(socket, to_bytes("raw"));
-    return true;
-  };
-  Server server(net, 0, 80, [](const Bytes& b) { return b; }, config);
-  Client client(net, 1);
-  ASSERT_TRUE(client.connect(server.address()).is_ok());
-  auto reply = client.call_text("ignored");
-  ASSERT_TRUE(reply.is_ok());
-  EXPECT_EQ(reply.value(), "raw");
-  client.close();
-  server.stop();
-}
-
 }  // namespace

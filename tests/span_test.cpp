@@ -97,6 +97,27 @@ TEST(SpanFraming, UntracedScanSkipsTheTraceHeader) {
   EXPECT_EQ(offset, wire.size());
 }
 
+// The client-side blocking receive skips a traced frame's context and
+// stays aligned on the frame that follows it.
+TEST(SpanFraming, RecvMessageSkipsTheTraceHeader) {
+  net::Network net(2, fast_net());
+  auto listener = net.listen(1, 5);
+  auto client = net.connect(0, net::Address{1, 5});
+  ASSERT_TRUE(client.is_ok());
+  net::StreamSocket server = std::move(listener->accept()).value();
+  ASSERT_TRUE(MessageCodec::send_message(client.value(), net::to_bytes("traced"),
+                                         SpanContext{5, 6})
+                  .is_ok());
+  ASSERT_TRUE(
+      MessageCodec::send_message(client.value(), net::to_bytes("plain")).is_ok());
+  auto first = MessageCodec::recv_message(server);
+  ASSERT_TRUE(first.is_ok());
+  EXPECT_EQ(net::to_string(first.value()), "traced");
+  auto second = MessageCodec::recv_message(server);
+  ASSERT_TRUE(second.is_ok());
+  EXPECT_EQ(net::to_string(second.value()), "plain");
+}
+
 TEST(SpanFraming, PartialAndCorruptTracedFrames) {
   const net::Bytes payload = net::to_bytes("checksummed");
   net::Bytes wire;
