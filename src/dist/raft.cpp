@@ -28,7 +28,16 @@ RaftNode::RaftNode(mp::Communicator& comm, StateMachine& machine,
                    RaftPersistentState& storage, RaftOptions options)
     : comm_(comm), machine_(machine), storage_(storage), options_(options),
       rng_(options.seed ^ (0x9e3779b97f4a7c15ull *
-                           static_cast<std::uint64_t>(comm.rank() + 1))) {
+                           static_cast<std::uint64_t>(comm.rank() + 1))),
+      // W is shorter than the minimum election timeout: a candidate whose
+      // timer fires at the minimum is still granted by a peer that heard
+      // the last heartbeat, or started, up to min - W later. The lease is
+      // W / ρ on the leader's clock, so it ends before the W of any voter
+      // whose clock runs up to ρ times faster.
+      refusal_window_ms_(options.election_timeout_min_ms / kLeaseClockDrift),
+      lease_ms_(options.unsafe_lease_ignores_drift
+                    ? options.election_timeout_min_ms
+                    : refusal_window_ms_ / kLeaseClockDrift) {
   PDC_CHECK(options_.election_timeout_min_ms > 0.0 &&
             options_.election_timeout_max_ms >= options_.election_timeout_min_ms);
   PDC_CHECK(options_.heartbeat_ms > 0.0 && options_.max_entries_per_append > 0);
@@ -47,6 +56,7 @@ RaftNode::RaftNode(mp::Communicator& comm, StateMachine& machine,
     term_gauge_ = &registry.gauge("pdc.raft.term", {{"rank", r}});
     commit_gauge_ = &registry.gauge("pdc.raft.commit_index", {{"rank", r}});
     append_hist_ = &registry.histogram("pdc.raft.append_us", {{"rank", r}});
+    gap_hist_ = &registry.histogram("pdc.raft.heartbeat_gap_us", {{"rank", r}});
     // A rejoining node re-creates these series; roll the exported value
     // back to what the registry already holds so deltas stay consistent.
     exported_term_ = term_gauge_->value();
@@ -145,6 +155,7 @@ void RaftNode::step_down(std::uint64_t term) {
   vote_granted_.clear();
   round_ = 0;
   confirmed_round_ = 0;
+  drop_lease();
   term_start_index_ = 0;
   submit_ms_.clear();
   // Entries this node was replicating may still commit under the next
@@ -190,10 +201,11 @@ void RaftNode::become_leader() {
   acked_round_.assign(p, 0);
   round_ = 0;
   confirmed_round_ = 0;
+  drop_lease();
   PDC_OBS_COUNT("pdc.raft.leader_elected");
   obs::trace_instant("raft.elected", storage_.current_term);
   // Term-start no-op barrier entry (§8): commits — and therefore makes
-  // visible to read-index reads — every entry from previous terms without
+  // visible to reads — every entry from previous terms without
   // waiting for client traffic.
   storage_.log.push_back(RaftLogEntry{storage_.current_term, {}});
   term_start_index_ = last_index();
@@ -236,13 +248,35 @@ std::optional<std::uint64_t> RaftNode::submit(std::vector<std::uint8_t> command,
 std::uint64_t RaftNode::begin_read_round() {
   PDC_CHECK_MSG(role_ == RaftRole::kLeader,
                 "read rounds are initiated by the leader");
+  if (lease_held()) {
+    PDC_OBS_COUNT("pdc.raft.lease_reads");
+    return confirmed_round_;
+  }
   broadcast_heartbeats();
   return round_;
+}
+
+bool RaftNode::lease_held() const {
+  return lease_start_ms_ >= 0.0 &&
+         age_.elapsed_millis() < lease_start_ms_ + lease_ms_;
+}
+
+void RaftNode::drop_lease() {
+  round_sent_ms_.clear();
+  lease_start_ms_ = -1.0;
 }
 
 void RaftNode::broadcast_heartbeats() {
   ++round_;
   heartbeat_timer_.reset();
+  // A round sent a lease ago can no longer start a live lease, so an
+  // isolated leader keeps at most a lease's worth of send times.
+  const double now_ms = age_.elapsed_millis();
+  while (!round_sent_ms_.empty() &&
+         round_sent_ms_.front().second + lease_ms_ <= now_ms) {
+    round_sent_ms_.pop_front();
+  }
+  round_sent_ms_.emplace_back(round_, now_ms);
   for (int peer = 0; peer < comm_.size(); ++peer) {
     if (peer != comm_.rank()) replicate(peer);
   }
@@ -298,6 +332,12 @@ void RaftNode::replicate(int peer) {
 }
 
 void RaftNode::handle_request_vote(int src, wire::Reader& r) {
+  // §4.2.3: within W of hearing from a leader (or of starting), ignore the
+  // request outright: adopting its term would depose that leader, and a
+  // vote could elect a second one while the first still holds its lease.
+  // A restarted rank may have acked the lease-granting round just before
+  // it crashed, hence the window from construction.
+  if (leader_contact_.elapsed_millis() < refusal_window_ms_) return;
   const std::uint64_t term = r.u64();
   const std::uint64_t cand_last_index = r.u64();
   const std::uint64_t cand_last_term = r.u64();
@@ -373,6 +413,7 @@ void RaftNode::handle_append(int src, wire::Reader& r) {
   step_down(term);
   leader_hint_ = src;
   reset_election_timer();
+  heard_from_leader();
 
   if (prev_index > last_index()) {
     // Log gap: tell the leader where our log actually ends.
@@ -461,6 +502,7 @@ void RaftNode::handle_install_snapshot(int src, wire::Reader& r) {
   step_down(term);
   leader_hint_ = src;
   reset_election_timer();
+  heard_from_leader();
 
   if (snap_index > last_applied_) {
     // Retain a suffix only when our entry at snap_index matches the
@@ -595,6 +637,20 @@ void RaftNode::update_confirmed_round() {
   std::sort(rounds.begin(), rounds.end(), std::greater<>());
   confirmed_round_ =
       std::max(confirmed_round_, rounds[static_cast<std::size_t>(quorum() - 1)]);
+  // The lease starts at the newest confirmed round's *send* time: every
+  // voter that acked it heard from this leader no earlier than that.
+  while (!round_sent_ms_.empty() &&
+         round_sent_ms_.front().first <= confirmed_round_) {
+    lease_start_ms_ = round_sent_ms_.front().second;
+    round_sent_ms_.pop_front();
+  }
+}
+
+void RaftNode::heard_from_leader() {
+  if (gap_hist_ != nullptr) {
+    gap_hist_->record(leader_contact_.elapsed_millis() * 1e3);
+  }
+  leader_contact_.reset();
 }
 
 }  // namespace pdc::dist

@@ -20,23 +20,33 @@
 //  - snapshot-based log compaction and InstallSnapshot for followers
 //    whose next entry was already compacted away (§7), reusing the
 //    dist::snapshot idea of a state image plus a cut index;
-//  - read-index reads: a leader confirms it is still the leader with one
-//    heartbeat round before serving a read at its commit index (§6.4),
-//    surfaced as begin_read_round()/confirmed_round();
+//  - linearizable reads without a log write, surfaced as
+//    begin_read_round()/confirmed_round(): while the leader holds a lease
+//    (thesis §6.4.1) it serves at its commit index at once; otherwise it
+//    first confirms it is still the leader with one heartbeat round
+//    (read-index, §6.4). The lease runs from the send time of the newest
+//    quorum-acknowledged round for W / kLeaseClockDrift on the leader's
+//    clock, and followers make it sound by ignoring every RequestVote
+//    within W = election_timeout_min_ms / kLeaseClockDrift of their last
+//    AppendEntries/InstallSnapshot or of their own start (§4.2.3), so no
+//    other leader can form while it holds;
 //  - crash recovery: all durable state lives in a caller-owned
 //    RaftPersistentState, so destroying a node and constructing a new one
 //    over the same storage is exactly a crash + rejoin.
 //
 // `RaftOptions::unsafe_early_commit` deliberately breaks the commit rule
 // (entries "commit" the moment the leader appends them, before any
-// quorum). It exists so the testkit::LinearizabilityChecker sweeps in
+// quorum), and `RaftOptions::unsafe_lease_ignores_drift` stretches the
+// lease to the full election_timeout_min_ms, as if clocks never drifted.
+// They exist so the testkit::LinearizabilityChecker sweeps in
 // tests/raft_test and tests/raft_stress_test can demonstrate that the
-// harness catches a real protocol bug — never enable it otherwise.
+// harness catches a real protocol bug — never enable them otherwise.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -122,6 +132,13 @@ class Reader {
 
 enum class RaftRole : std::uint8_t { kFollower, kCandidate, kLeader };
 
+/// ρ, the clock-drift bound of the leader lease: the lease stays sound
+/// while no rank's clock runs more than this factor faster than
+/// another's. Every rank in this library reads one clock (steady_clock,
+/// or the SimScheduler's virtual clock), so only the testkit clock-rate
+/// fault ever skews them.
+inline constexpr double kLeaseClockDrift = 1.25;
+
 const char* to_string(RaftRole role);
 
 struct RaftLogEntry {
@@ -166,6 +183,7 @@ struct RaftOptions {
   std::size_t snapshot_threshold = 0;  // compact when log exceeds this (0 = never)
   std::size_t max_entries_per_append = 16;
   bool unsafe_early_commit = false;  // see file comment — tests only
+  bool unsafe_lease_ignores_drift = false;  // see file comment — tests only
 };
 
 class RaftNode {
@@ -202,16 +220,18 @@ class RaftNode {
     listener_ = std::move(listener);
   }
 
-  /// Read-index support (leader only): stamps the current heartbeat round
-  /// and broadcasts it; once `confirmed_round() >= begin_read_round()`'s
-  /// return, a quorum has acked a heartbeat sent after the read arrived,
-  /// so this node was still the leader and its commit index is a valid
-  /// read snapshot.
+  /// Read support (leader only). Once `confirmed_round() >=` the return
+  /// value, this node was still the leader after the read arrived, so its
+  /// commit index is a valid read snapshot. While the lease holds, the
+  /// return is the round that is already confirmed and nothing is sent
+  /// (counted in pdc.raft.lease_reads). Otherwise it stamps and
+  /// broadcasts a new heartbeat round (read-index), confirmed once a
+  /// quorum acks it.
   std::uint64_t begin_read_round();
   [[nodiscard]] std::uint64_t confirmed_round() const { return confirmed_round_; }
   /// Index of this term's no-op barrier entry (leader only). A new
   /// leader's commit index may lag the true committed prefix until the
-  /// barrier commits (§8), so read-index reads must wait for
+  /// barrier commits (§8), so reads (lease or read-index) must wait for
   /// `last_applied() >= term_start_index()` before serving.
   [[nodiscard]] std::uint64_t term_start_index() const { return term_start_index_; }
 
@@ -264,6 +284,11 @@ class RaftNode {
   void apply_committed();
   void maybe_compact();
   void update_confirmed_round();
+  /// An accepted AppendEntries/InstallSnapshot: records the gap since the
+  /// previous one and restarts the vote-refusal window.
+  void heard_from_leader();
+  [[nodiscard]] bool lease_held() const;
+  void drop_lease();
   void send(int dest, const std::vector<std::uint8_t>& payload);
 
   [[nodiscard]] int quorum() const { return comm_.size() / 2 + 1; }
@@ -298,6 +323,11 @@ class RaftNode {
   std::uint64_t confirmed_round_ = 0;  // highest quorum-acked round
   std::uint64_t term_start_index_ = 0; // index of this term's no-op barrier
   std::vector<std::pair<std::uint64_t, double>> submit_ms_;  // index -> submit time
+  // Leader lease (§6.4.1), on the age_ clock. round_sent_ms_ holds the
+  // send time of each round not yet confirmed and younger than a lease;
+  // the lease runs from the newest confirmed one's send time (-1: none).
+  std::deque<std::pair<std::uint64_t, double>> round_sent_ms_;
+  double lease_start_ms_ = -1.0;
 
   /// Uncommitted traced entries (leader only, cleared like submit_ms_ on
   /// step-down): the replicate span ends when the entry commits; the
@@ -311,8 +341,14 @@ class RaftNode {
 
   RetryClock election_timer_;
   RetryClock heartbeat_timer_;
-  RetryClock age_;  // time base for the commit-latency histogram
+  RetryClock age_;  // time base for the commit-latency histogram and lease
+  // Since the last accepted AppendEntries/InstallSnapshot, or since
+  // construction: a rank ignores RequestVote while this reads below
+  // refusal_window_ms_ (§4.2.3).
+  RetryClock leader_contact_;
   double election_timeout_ms_ = 0.0;
+  double refusal_window_ms_ = 0.0;  // W = election_timeout_min_ms / ρ
+  double lease_ms_ = 0.0;           // W / ρ (unsafe variant: the full min)
 
   std::uint64_t snapshots_installed_ = 0;
   std::uint64_t messages_sent_ = 0;
@@ -323,6 +359,7 @@ class RaftNode {
   obs::Gauge* term_gauge_ = nullptr;      // pdc.raft.term{rank=}
   obs::Gauge* commit_gauge_ = nullptr;    // pdc.raft.commit_index{rank=}
   obs::Histogram* append_hist_ = nullptr; // pdc.raft.append_us{rank=}
+  obs::Histogram* gap_hist_ = nullptr;    // pdc.raft.heartbeat_gap_us{rank=}
   std::int64_t exported_term_ = 0;
   std::int64_t exported_commit_ = 0;
 };

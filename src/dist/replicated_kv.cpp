@@ -134,13 +134,14 @@ void ReplicatedKV::serve_requests() {
       continue;
     }
     if (kind == OpKind::kGet) {
-      // Read-index (§6.4): snapshot the commit index, then require one
-      // quorum-confirmed heartbeat round before serving — proves this
-      // node was still the leader after the read arrived. Floor the
-      // snapshot at the term-start barrier: a fresh leader's commit index
-      // can lag the true committed prefix until its no-op commits
-      // (Figure 8), and serving below the barrier could miss an
-      // acknowledged write from a prior term.
+      // Snapshot the commit index, then require a quorum-confirmed
+      // heartbeat round before serving — proves this node was still the
+      // leader after the read arrived. Under the lease that round is
+      // already confirmed; otherwise begin_read_round() sends one
+      // (read-index, §6.4). Floor the snapshot at the term-start barrier:
+      // a fresh leader's commit index can lag the true committed prefix
+      // until its no-op commits (Figure 8), and serving below the barrier
+      // could miss an acknowledged write from a prior term.
       const std::uint64_t read_index =
           std::max(raft_.commit_index(), raft_.term_start_index());
       const std::uint64_t round = raft_.begin_read_round();
@@ -200,8 +201,10 @@ void ReplicatedKV::on_applied(std::uint64_t index, std::uint64_t term,
 }
 
 void ReplicatedKV::resolve_reads() {
-  // FIFO: the front read has the smallest (round, read_index), so if it
-  // cannot be served yet, neither can anything behind it.
+  // FIFO: reads are answered in arrival order. A lease read queued
+  // behind a read whose round is still out waits for it; that is safe,
+  // since the lease proved leadership when it arrived and serving later
+  // only reads a newer applied state.
   while (!pending_reads_.empty()) {
     PendingRead& read = pending_reads_.front();
     if (raft_.confirmed_round() < read.round ||

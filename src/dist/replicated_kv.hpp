@@ -3,11 +3,14 @@
 // Every rank of the communicator runs one ReplicatedKV node: a KvMachine
 // (the Raft state machine) plus the client/server glue. Writes (put, cas)
 // are routed to the leader, appended to the replicated log, and
-// acknowledged only after commit + apply; reads use Raft's read-index
-// protocol (one confirmed heartbeat round, §6.4) so they are served from
-// the leader's applied state without writing the log — both give the
-// store linearizability, which tests/raft_stress_test checks directly
-// with testkit::LinearizabilityChecker under fault injection.
+// acknowledged only after commit + apply; reads are served from the
+// leader's applied state without writing the log: at once while the
+// leader holds its lease (Raft thesis §6.4.1), otherwise after one
+// confirmed heartbeat round (read-index, §6.4). RaftNode::begin_read_round
+// makes that choice; the KV layer only queues the read behind its round.
+// Both paths give the store linearizability, which tests/raft_stress_test
+// checks directly with testkit::LinearizabilityChecker under fault
+// injection.
 //
 // Exactly-once semantics: a client retries a timed-out request with the
 // same sequence number, and a retry may land after the original committed

@@ -349,6 +349,8 @@ void Server::stop() {
   {
     std::scoped_lock lock(conn_mutex_);
     connections.swap(conn_threads_);
+    for (auto& t : finished_) connections.push_back(std::move(t));
+    finished_.clear();
   }
   for (auto& t : connections) {
     if (t.joinable()) t.join();
@@ -360,6 +362,12 @@ void Server::accept_loop() {
     auto accepted = listener_->accept();
     if (!accepted.is_ok()) return;  // shut down
     StreamSocket socket = std::move(accepted).value();
+    std::vector<std::thread> finished;
+    {
+      std::scoped_lock lock(conn_mutex_);
+      finished.swap(finished_);
+    }
+    for (auto& t : finished) t.join();
     {
       std::scoped_lock lock(conn_mutex_);
       active_.push_back(socket);  // cheap handle copy, for abort on stop
@@ -387,6 +395,23 @@ void Server::serve_connection(StreamSocket socket) {
     if (!serve_buffered(conn) || closed) break;
   }
   conn.socket.close();
+  retire(conn.socket);
+}
+
+void Server::retire(const StreamSocket& socket) {
+  std::scoped_lock lock(conn_mutex_);
+  std::erase_if(active_,
+                [&](const StreamSocket& s) { return s.is_same(socket); });
+  // Not found on a pool worker, or once stop() has claimed the threads.
+  const auto self =
+      std::find_if(conn_threads_.begin(), conn_threads_.end(),
+                   [](const std::thread& t) {
+                     return t.get_id() == std::this_thread::get_id();
+                   });
+  if (self != conn_threads_.end()) {
+    finished_.push_back(std::move(*self));
+    conn_threads_.erase(self);
+  }
 }
 
 void Server::drain_buffered(StreamSocket socket) {

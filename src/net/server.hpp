@@ -117,6 +117,10 @@ class Server {
 
   void accept_loop();
   void serve_connection(StreamSocket socket);
+  /// A closed connection leaves the books: its abort handle goes, and a
+  /// connection thread hands its own handle over to be joined (a thread
+  /// cannot join itself).
+  void retire(const StreamSocket& socket);
   /// Answers every complete frame already buffered on `socket` without
   /// blocking, then closes it gracefully (stop()-time drain).
   void drain_buffered(StreamSocket socket);
@@ -140,8 +144,9 @@ class Server {
   std::unique_ptr<EventEngine> engine_;  // event-driven model
   std::thread acceptor_;
   std::mutex conn_mutex_;
-  std::vector<std::thread> conn_threads_;  // thread-per-connection model
-  std::vector<StreamSocket> active_;       // for hard abort on stop()
+  std::vector<std::thread> conn_threads_;  // live connection threads
+  std::vector<std::thread> finished_;      // retired; joined at next accept
+  std::vector<StreamSocket> active_;       // live; aborted on stop()
 };
 
 /// Client endpoint issuing framed request-response calls.

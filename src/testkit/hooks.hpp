@@ -94,6 +94,19 @@ inline double sim_now() {
   return 0.0;
 }
 
+/// Clock-rate fault: from this instant on, the calling logical thread's
+/// own clock (thread_clock_now) advances `rate` seconds per virtual
+/// second. Time already elapsed keeps its reading, so a rate change never
+/// makes the clock jump. One rank of an mp::World is one logical thread,
+/// so a rank body that calls this skews that rank's timers
+/// (dist::RetryClock reads this clock). Sim threads only; the rate ends
+/// with the thread.
+void set_clock_rate(double rate);
+
+/// The calling logical thread's own clock in seconds: sim_now() until
+/// set_clock_rate() skews it; 0.0 off-sim.
+[[nodiscard]] double thread_clock_now();
+
 /// Guarded condition wait. `pred` is always evaluated with `lock` held.
 template <typename Pred>
 void wait(std::unique_lock<std::mutex>& lock, std::condition_variable& cv,

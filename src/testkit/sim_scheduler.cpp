@@ -260,6 +260,11 @@ Engine* g_engine = nullptr;
 struct ThreadCtx {
   Engine* engine = nullptr;
   ThreadRec* rec = nullptr;
+  // The thread's own clock (clock-rate fault): it read `clock_base` at
+  // virtual time `virtual_base` and runs at `clock_rate` since then.
+  double clock_rate = 1.0;
+  double virtual_base = 0.0;
+  double clock_base = 0.0;
 };
 thread_local ThreadCtx t_ctx;
 
@@ -332,6 +337,21 @@ double clock_now_slow() {
 }
 
 }  // namespace detail
+
+void set_clock_rate(double rate) {
+  PDC_CHECK_MSG(t_ctx.rec != nullptr, "set_clock_rate outside a sim thread");
+  PDC_CHECK(rate > 0.0);
+  const double now = detail::clock_now_slow();
+  t_ctx.clock_base += (now - t_ctx.virtual_base) * t_ctx.clock_rate;
+  t_ctx.virtual_base = now;
+  t_ctx.clock_rate = rate;
+}
+
+double thread_clock_now() {
+  if (t_ctx.engine == nullptr) return 0.0;
+  return t_ctx.clock_base +
+         (detail::clock_now_slow() - t_ctx.virtual_base) * t_ctx.clock_rate;
+}
 
 const char* to_string(SchedulePolicy policy) {
   switch (policy) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
 #include <future>
 #include <string>
 #include <thread>
@@ -862,6 +863,37 @@ TEST(Server, WorkerPoolStopDrainsQueuedConnections) {
   blocker.join();
   for (auto& t : waiters) t.join();
   EXPECT_EQ(ok.load(), 4);
+}
+
+/// The process's mapped address space, from /proc/self/status (0 if absent).
+long vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  return 0;
+}
+
+// A connection thread is joined once its connection closes, not only at
+// stop(): sequential clients must not pile up finished threads with their
+// stacks still mapped (each is 8 MB of VmSize by default).
+TEST(Server, ThreadPerConnectionReapsClosedConnections) {
+  constexpr int kClients = 300;
+  Network net(2, fast_net());
+  Server server(net, 0, 80, [](const Bytes& b) { return b; });
+  const long before_kb = vm_size_kb();
+  ASSERT_GT(before_kb, 0);
+  for (int i = 0; i < kClients; ++i) {
+    Client client(net, 1);
+    ASSERT_TRUE(client.connect(server.address()).is_ok());
+    ASSERT_TRUE(client.call_text("ping").is_ok());
+    client.close();
+  }
+  const long grown_kb = vm_size_kb() - before_kb;
+  EXPECT_LT(grown_kb, 64 * 1024) << "VmSize grew by " << grown_kb << " kB";
+  server.stop();
+  EXPECT_EQ(server.requests_served(), static_cast<std::uint64_t>(kClients));
 }
 
 TEST(Server, StopUnblocksEverything) {

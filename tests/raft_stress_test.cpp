@@ -2,8 +2,9 @@
 // only with PDCKIT_STRESS=ON).
 //
 // Sweeps FaultInjector configurations — drop x duplicate x reorder x
-// partition x crash — over many seeds against a 3-rank ReplicatedKV
-// cluster. Every run must satisfy two independent oracles:
+// partition x crash, plus a clock-rate skew — over many seeds against a
+// 3-rank ReplicatedKV cluster. Every run must satisfy two independent
+// oracles:
 //
 //   1. testkit::LinearizabilityChecker over the recorded client history
 //      (acknowledged ops took effect exactly once, reads never travel
@@ -13,8 +14,10 @@
 //      two ranks agree entry-for-entry up to the smaller commit index.
 //
 // The headline acceptance sweep runs crash+drop+reorder over 200 seeds.
-// A final test re-arms the unsafe_early_commit teaching bug across a seed
-// sweep and requires the checker to catch it with a replayable trace.
+// The final tests re-arm the unsafe_early_commit and
+// unsafe_lease_ignores_drift teaching bugs across seed sweeps and require
+// the checker to catch each with a replayable trace; the safe lease must
+// pass the same clock-skew scenario on every seed.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,6 +30,7 @@
 
 #include "dist/raft.hpp"
 #include "dist/replicated_kv.hpp"
+#include "lease_scenario.hpp"
 #include "mp/world.hpp"
 #include "obs/obs.hpp"
 #include "testkit/fault_injector.hpp"
@@ -55,6 +59,7 @@ struct SweepConfig {
   double reorder = 0.0;
   bool partition = false;  // leader isolates itself once, heals ~40ms later
   bool crash = false;      // leader destroys itself once, rejoins ~30ms later
+  bool skew = false;       // one follower's clock runs kLeaseClockDrift fast
   std::uint64_t snapshot_threshold = 0;  // exercise compaction under faults
 };
 
@@ -111,6 +116,7 @@ std::string run_kv_once(const SweepConfig& f, std::uint64_t seed) {
   struct Shared {
     std::atomic<bool> crash_claimed{false};
     std::atomic<bool> partition_claimed{false};
+    std::atomic<bool> skew_claimed{false};
     std::atomic<int> heal_state{0};  // 0 intact, 1 partitioned, 2 healed
     std::atomic<long long> heal_at_us{0};
     std::atomic<int> done{0};
@@ -183,7 +189,18 @@ std::string run_kv_once(const SweepConfig& f, std::uint64_t seed) {
         injector->heal();
       }
     };
+    auto maybe_skew = [&] {
+      // The first rank that follows a known leader gets the whole drift
+      // bound the lease tolerates: its refusal window and election timer
+      // run short against the leader's lease.
+      if (!f.skew || kv->is_leader() || kv->raft().leader_hint() < 0) return;
+      bool expected = false;
+      if (shared->skew_claimed.compare_exchange_strong(expected, true)) {
+        testkit::set_clock_rate(dist::kLeaseClockDrift);
+      }
+    };
     auto between_ops = [&] {
+      maybe_skew();
       maybe_partition();
       maybe_crash();
       maybe_heal();
@@ -212,6 +229,7 @@ std::string run_kv_once(const SweepConfig& f, std::uint64_t seed) {
     while (shared->done.load() < kRanks ||
            shared->heal_state.load() == 1) {
       kv->step();
+      maybe_skew();
       maybe_crash();
       maybe_heal();
       testkit::poll_pause("kv.pump", 0.5e-3);
@@ -269,6 +287,8 @@ TEST(RaftStress, FaultMatrixSweepStaysLinearizable) {
       {.name = "crash", .crash = true},
       {.name = "crash+snapshot", .crash = true, .snapshot_threshold = 6},
       {.name = "partition+crash", .partition = true, .crash = true},
+      {.name = "skew", .skew = true},
+      {.name = "skew+partition", .partition = true, .skew = true},
   };
   std::uint64_t base = 100;
   for (const auto& config : matrix) {
@@ -391,6 +411,46 @@ TEST(RaftStress, UnsafeEarlyCommitCaughtAcrossSeedSweep) {
   EXPECT_EQ(failure1, failure2);
   EXPECT_FALSE(failure1.empty());
   EXPECT_EQ(replay1.format_minimal_trace(), replay2.format_minimal_trace());
+}
+
+// ------------------------------- leader lease under the clock-rate fault
+
+TEST(RaftStress, UnsafeLeaseCaughtAcrossSeedSweep) {
+  testkit::ExplorerConfig config;
+  config.iterations = 25;
+  config.base_seed = 700;
+  config.max_steps = 1u << 22;
+  testkit::ScheduleExplorer explorer(config);
+  auto make_run = [] {
+    return lease_scenario::make_lease_skew_plan(
+        /*unsafe_lease=*/true, std::make_shared<testkit::HistoryRecorder>());
+  };
+  const auto result = explorer.explore(make_run);
+  ASSERT_TRUE(result.failure_found);
+  EXPECT_NE(result.failure.find("no linearization exists"), std::string::npos)
+      << result.failure;
+  std::string failure1;
+  std::string failure2;
+  const auto replay1 =
+      explorer.replay(result.failing_seed, make_run, &failure1);
+  const auto replay2 =
+      explorer.replay(result.failing_seed, make_run, &failure2);
+  EXPECT_EQ(failure1, failure2);
+  EXPECT_FALSE(failure1.empty());
+  EXPECT_EQ(replay1.format_minimal_trace(), replay2.format_minimal_trace());
+}
+
+TEST(RaftStress, SafeLeaseHoldsAcrossSeedSweep) {
+  testkit::ExplorerConfig config;
+  config.iterations = 25;
+  config.base_seed = 700;
+  config.max_steps = 1u << 22;
+  testkit::ScheduleExplorer explorer(config);
+  const auto result = explorer.explore([] {
+    return lease_scenario::make_lease_skew_plan(
+        /*unsafe_lease=*/false, std::make_shared<testkit::HistoryRecorder>());
+  });
+  EXPECT_FALSE(result.failure_found) << result.describe();
 }
 
 }  // namespace

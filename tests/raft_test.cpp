@@ -2,9 +2,10 @@
 // leader election, log convergence across a leader crash, stale-leader
 // rejection through a network partition, snapshot install to a lagging
 // follower, the term-start no-op barrier, malformed RPCs dropped and
-// counted, and linearizability of the KV
-// store — including the unsafe_early_commit teaching bug, which the
-// checker must catch with a replayable minimal trace.
+// counted, the leader lease and the vote-refusal window that makes it
+// sound, and linearizability of the KV store — including the
+// unsafe_early_commit and unsafe_lease_ignores_drift teaching bugs, which
+// the checker must catch with a replayable minimal trace.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,6 +18,7 @@
 
 #include "dist/raft.hpp"
 #include "dist/replicated_kv.hpp"
+#include "lease_scenario.hpp"
 #include "mp/world.hpp"
 #include "testkit/fault_injector.hpp"
 #include "testkit/linearizability.hpp"
@@ -507,13 +509,35 @@ TEST(RaftSim, LeaderAppendsNoOpBarrierOnTermStart) {
 
 // ------------------------------------------------- malformed Raft traffic
 
+// Raft's RPC kinds on tag 70 (the RaftNode::Rpc order, docs/raft.md), for
+// scripting one side of a conversation by hand.
+constexpr int kTagRaft = 70;
+constexpr std::uint8_t kRequestVote = 0;
+constexpr std::uint8_t kVoteReply = 1;
+constexpr std::uint8_t kAppend = 2;
+
+/// A RequestVote for `term` from a candidate with an empty log.
+std::vector<std::uint8_t> request_vote(std::uint64_t term) {
+  dist::wire::Writer w;
+  w.u8(kRequestVote);
+  w.u64(term);
+  w.u64(0);  // candidate's last log index
+  w.u64(0);  // and its term
+  return w.take();
+}
+
+/// Pauses the calling rank until `seconds` of virtual time have passed.
+void sleep_sim(double seconds) {
+  const double until = testkit::sim_now() + seconds;
+  while (testkit::sim_now() < until) testkit::poll_pause("raft.sleep", 0.5e-3);
+}
+
 // Raft's RPCs share tag 70, kind byte first (docs/raft.md). A payload with
 // no kind byte, or a kind past the handler table, is dropped and counted
 // in pdc.raft.malformed: it must neither throw on the node's pump nor
 // keep the cluster from electing a leader and committing.
 TEST(RaftSim, MalformedRpcIsDroppedAndCounted) {
   constexpr int kRanks = 3;
-  constexpr int kTagRaft = 70;
   auto& malformed =
       obs::MetricsRegistry::instance().counter("pdc.raft.malformed");
   const std::uint64_t before = malformed.total();
@@ -553,6 +577,259 @@ TEST(RaftSim, MalformedRpcIsDroppedAndCounted) {
   if (obs::kObsEnabled) {
     EXPECT_EQ(malformed.total() - before, 2u);
   }
+}
+
+// ------------------------------------------------------- leader lease
+
+// A settled leader answers a get from its lease: no heartbeat round goes
+// out for it, and pdc.raft.lease_reads counts it.
+TEST(RaftLease, SettledLeaderServesGetWithoutARound) {
+  constexpr int kRanks = 3;
+  auto& lease_reads =
+      obs::MetricsRegistry::instance().counter("pdc.raft.lease_reads");
+  struct Outcome {
+    std::atomic<bool> done{false};
+    std::atomic<bool> got_value{false};
+    std::atomic<std::uint64_t> sent{~std::uint64_t{0}};
+    std::atomic<std::uint64_t> lease_reads{0};
+  };
+  auto out = std::make_shared<Outcome>();
+  std::vector<RaftPersistentState> storage(kRanks);
+  World world(kRanks);
+  auto bodies = world.rank_bodies([&](Communicator& comm) {
+    dist::KvConfig cfg;
+    cfg.raft.seed = 21;
+    dist::ReplicatedKV kv(comm, storage[static_cast<std::size_t>(comm.rank())],
+                          cfg);
+    auto spin = [&] {
+      kv.step();
+      testkit::poll_pause("kv.pump", 0.5e-3);
+    };
+    while (!out->done.load()) {
+      if (!kv.is_leader() || !kv.put("k", "v").ok()) {
+        spin();
+        continue;
+      }
+      // Right after a confirmed round the lease holds and the heartbeat
+      // timer is far from due, so the get's one step sends nothing.
+      const std::uint64_t seen = kv.raft().confirmed_round();
+      while (kv.raft().confirmed_round() == seen) spin();
+      const std::uint64_t sent = kv.raft().messages_sent();
+      const std::uint64_t leases = lease_reads.total();
+      const auto got = kv.get("k");
+      out->got_value = got.ok() && got.value == "v";
+      out->sent = kv.raft().messages_sent() - sent;
+      out->lease_reads = lease_reads.total() - leases;
+      out->done = true;
+    }
+  });
+  SchedulerOptions options;
+  options.seed = 4;
+  options.max_steps = 1u << 22;
+  SimScheduler scheduler(options);
+  const auto report = scheduler.run(std::move(bodies));
+  ASSERT_TRUE(report.ok()) << report.error;
+  EXPECT_TRUE(out->got_value.load());
+  EXPECT_EQ(out->sent.load(), 0u);
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(out->lease_reads.load(), 1u);
+  }
+}
+
+struct VoteWindowOutcome {
+  bool early_reply = true;            // any answer to the first RequestVote
+  std::uint64_t term_after_early = 0;  // the node's term just after it
+  bool granted_late = false;           // the repeat, just past W, granted
+};
+
+/// §4.2.3 from the voter's side. Rank 1 runs a RaftNode whose refusal
+/// window W is 32 ms; rank 0 scripts the other side by hand. With
+/// `append_first`, rank 0 first plays a term-1 leader, so W runs from the
+/// node's receipt of that AppendEntries; otherwise W runs from the node's
+/// start. Rank 0 then asks for a vote in the next term at once, and
+/// again just past W (before the node's own 40–80 ms election timer).
+VoteWindowOutcome probe_vote_window(bool append_first) {
+  RaftOptions opts;
+  opts.election_timeout_min_ms = 40.0;
+  opts.election_timeout_max_ms = 80.0;
+  const double window_s =
+      opts.election_timeout_min_ms / dist::kLeaseClockDrift * 1e-3;
+  const std::uint64_t term = append_first ? 2 : 1;
+  VoteWindowOutcome out;
+  std::atomic<bool> started{false};
+  std::atomic<bool> finished{false};
+  std::atomic<std::uint64_t> node_term{0};
+  World world(2);
+  auto bodies = world.rank_bodies([&](Communicator& comm) {
+    if (comm.rank() == 1) {
+      RecordingMachine machine;
+      RaftPersistentState storage;
+      RaftNode node(comm, machine, storage, opts);
+      started = true;
+      while (!finished.load()) {
+        pump(node);
+        node_term = node.current_term();
+      }
+      return;
+    }
+    while (!started.load()) testkit::poll_pause("raft.wait", 0.1e-3);
+    if (append_first) {
+      dist::wire::Writer append;
+      append.u8(kAppend);
+      for (const std::uint64_t field : {1, 0, 0, 0, 1, 0}) {
+        append.u64(field);  // term, prev index/term, commit, round, entries
+      }
+      comm.send_vector(append.take(), 1, kTagRaft);
+      (void)comm.take(1, kTagRaft);  // the AppendReply: it heard us
+    }
+    const double window_start = testkit::sim_now();
+    comm.send_vector(request_vote(term), 1, kTagRaft);
+    sleep_sim(5e-3);
+    out.early_reply = comm.try_take(1, kTagRaft).has_value();
+    out.term_after_early = node_term.load();
+
+    sleep_sim(window_start + window_s + 1e-3 - testkit::sim_now());
+    comm.send_vector(request_vote(term), 1, kTagRaft);
+    const auto reply = comm.take(1, kTagRaft);
+    dist::wire::Reader r(reply.payload);
+    const bool is_vote_reply = r.u8() == kVoteReply;
+    const std::uint64_t reply_term = r.u64();
+    out.granted_late = is_vote_reply && reply_term == term && r.u8() == 1;
+    finished = true;
+  });
+  SchedulerOptions options;
+  options.seed = 8;
+  options.max_steps = 1u << 22;
+  SimScheduler scheduler(options);
+  const auto report = scheduler.run(std::move(bodies));
+  EXPECT_TRUE(report.ok()) << report.error;
+  return out;
+}
+
+// Within W of an accepted AppendEntries a follower ignores a RequestVote
+// outright (no term adoption, no reply), and grants it once W has passed.
+TEST(RaftLease, FollowerIgnoresVotesWithinWindowOfAppend) {
+  const auto out = probe_vote_window(/*append_first=*/true);
+  EXPECT_FALSE(out.early_reply);
+  EXPECT_EQ(out.term_after_early, 1u);
+  EXPECT_TRUE(out.granted_late);
+}
+
+// A rank that just started may have acked a lease round before it
+// crashed: it refuses votes for W after construction, too.
+TEST(RaftLease, FreshRankRefusesVotesWithinWindowOfStart) {
+  const auto out = probe_vote_window(/*append_first=*/false);
+  EXPECT_FALSE(out.early_reply);
+  EXPECT_EQ(out.term_after_early, 0u);
+  EXPECT_TRUE(out.granted_late);
+}
+
+// The lease outlives the leader's isolation only briefly: a get right
+// after the cut is served from it, but once it lapses every get falls
+// back to a round that cannot confirm, while the majority elects anew and
+// overwrites the key. No read is served stale.
+TEST(RaftLease, IsolatedLeaderLeaseLapsesAndReadsFallBackToRounds) {
+  constexpr int kRanks = 3;
+  auto& lease_reads =
+      obs::MetricsRegistry::instance().counter("pdc.raft.lease_reads");
+  struct Shared {
+    std::atomic<int> leader{-1};
+    std::atomic<bool> isolated{false};
+    std::atomic<bool> put_done{false};
+    std::atomic<bool> read_done{false};
+    std::atomic<int> done{0};
+    std::atomic<bool> lease_read_ok{false};
+    std::atomic<std::uint64_t> lease_read_sent{~std::uint64_t{0}};
+    std::atomic<std::uint64_t> lease_reads_during{0};
+    std::atomic<bool> lapsed_read_timed_out{false};
+    std::atomic<std::uint64_t> lapsed_read_sent{0};
+    std::atomic<std::uint64_t> lease_reads_after{~std::uint64_t{0}};
+  };
+  auto shared = std::make_shared<Shared>();
+  auto recorder = std::make_shared<testkit::HistoryRecorder>();
+  std::vector<RaftPersistentState> storage(kRanks);
+  auto injector = std::make_shared<FaultInjector>(FaultConfig{});
+  World world(kRanks);
+  world.set_fault_injector(injector);
+  auto bodies = world.rank_bodies([&](Communicator& comm) {
+    const int rank = comm.rank();
+    dist::KvConfig cfg;
+    cfg.raft.seed = 55;
+    cfg.op_timeout_ms = 30.0;
+    dist::ReplicatedKV kv(comm, storage[static_cast<std::size_t>(rank)], cfg);
+    kv.set_recorder(recorder.get());
+    auto spin = [&] {
+      kv.step();
+      testkit::poll_pause("kv.pump", 0.5e-3);
+    };
+    while (shared->leader.load() == -1) {
+      if (kv.is_leader() && kv.put("k", "v1").ok()) {
+        shared->leader = rank;
+      } else {
+        spin();
+      }
+    }
+    if (rank == shared->leader.load()) {
+      const std::uint64_t seen = kv.raft().confirmed_round();
+      while (kv.raft().confirmed_round() == seen) spin();
+      std::vector<int> rest;
+      for (int r = 0; r < kRanks; ++r) {
+        if (r != rank) rest.push_back(r);
+      }
+      injector->partition({{rank}, rest});
+      shared->isolated = true;
+
+      std::uint64_t sent = kv.raft().messages_sent();
+      std::uint64_t leases = lease_reads.total();
+      const auto in_lease = kv.get("k");
+      shared->lease_read_ok = in_lease.ok() && in_lease.value == "v1";
+      shared->lease_read_sent = kv.raft().messages_sent() - sent;
+      shared->lease_reads_during = lease_reads.total() - leases;
+
+      // The majority can elect only after the refusal window, which
+      // outlasts the lease: by then every get here needs a round.
+      while (!shared->put_done.load()) spin();
+      sent = kv.raft().messages_sent();
+      leases = lease_reads.total();
+      shared->lapsed_read_timed_out = kv.get("k").timed_out();
+      shared->lapsed_read_sent = kv.raft().messages_sent() - sent;
+      shared->lease_reads_after = lease_reads.total() - leases;
+      shared->read_done = true;
+    } else {
+      while (!shared->isolated.load()) spin();
+      while (!shared->put_done.load()) {
+        if (kv.is_leader() && kv.put("k", "v2").ok()) {
+          shared->put_done = true;
+        } else {
+          spin();
+        }
+      }
+    }
+    bool counted = false;
+    while (shared->done.load() < kRanks) {
+      if (!counted && shared->read_done.load()) {
+        ++shared->done;
+        counted = true;
+      }
+      spin();
+    }
+  });
+  SchedulerOptions options;
+  options.seed = 6;
+  options.max_steps = 1u << 22;
+  SimScheduler scheduler(options);
+  const auto report = scheduler.run(std::move(bodies));
+  ASSERT_TRUE(report.ok()) << report.error;
+  EXPECT_TRUE(shared->lease_read_ok.load());
+  EXPECT_EQ(shared->lease_read_sent.load(), 0u);
+  EXPECT_TRUE(shared->lapsed_read_timed_out.load());
+  EXPECT_GT(shared->lapsed_read_sent.load(), 0u);  // rounds, all dropped
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(shared->lease_reads_during.load(), 1u);
+    EXPECT_EQ(shared->lease_reads_after.load(), 0u);
+  }
+  const auto lin = testkit::LinearizabilityChecker{}.check(recorder->history());
+  EXPECT_TRUE(lin.linearizable()) << lin.describe();
 }
 
 // ------------------------------- linearizability: safe vs unsafe commit
@@ -678,6 +955,42 @@ TEST(RaftLinearizability, UnsafeEarlyCommitIsCaughtWithReplayableTrace) {
   EXPECT_EQ(failure1, failure2);
   EXPECT_FALSE(failure1.empty());
   EXPECT_EQ(replay1.format_trace(), replay2.format_trace());
+  EXPECT_EQ(replay1.format_minimal_trace(), replay2.format_minimal_trace());
+}
+
+// ----------------------- linearizability: safe vs unsafe lease, clock skew
+
+TEST(RaftLinearizability, SafeLeaseSurvivesClockSkewScenario) {
+  testkit::ExplorerConfig config;
+  config.iterations = 2;
+  config.max_steps = 1u << 22;
+  testkit::ScheduleExplorer explorer(config);
+  const auto result = explorer.explore([] {
+    return lease_scenario::make_lease_skew_plan(
+        /*unsafe_lease=*/false, std::make_shared<testkit::HistoryRecorder>());
+  });
+  EXPECT_FALSE(result.failure_found) << result.describe();
+}
+
+TEST(RaftLinearizability, UnsafeLeaseIsCaughtWithReplayableTrace) {
+  testkit::ExplorerConfig config;
+  config.iterations = 3;
+  config.max_steps = 1u << 22;
+  testkit::ScheduleExplorer explorer(config);
+  auto make_run = [] {
+    return lease_scenario::make_lease_skew_plan(
+        /*unsafe_lease=*/true, std::make_shared<testkit::HistoryRecorder>());
+  };
+  const auto result = explorer.explore(make_run);
+  ASSERT_TRUE(result.failure_found);
+  EXPECT_NE(result.failure.find("no linearization exists"), std::string::npos)
+      << result.failure;
+  std::string failure1;
+  std::string failure2;
+  const auto replay1 = explorer.replay(result.failing_seed, make_run, &failure1);
+  const auto replay2 = explorer.replay(result.failing_seed, make_run, &failure2);
+  EXPECT_EQ(failure1, failure2);
+  EXPECT_FALSE(failure1.empty());
   EXPECT_EQ(replay1.format_minimal_trace(), replay2.format_minimal_trace());
 }
 
