@@ -118,25 +118,32 @@ MessageCodec::Scan MessageCodec::scan_message(const Bytes& buffer,
   return scan_core(buffer, offset, out, &trace);
 }
 
-support::Result<Bytes> MessageCodec::recv_message(StreamSocket& socket) {
-  auto header = socket.recv_exact(kHeaderBytes);
-  if (!header.is_ok()) return header.status();
-  const std::uint32_t word = get_u32(header.value(), 0);
-  const std::uint32_t length = word & ~kTraceFlag;
-  const std::uint16_t checksum = get_u16(header.value(), 4);
-  if (length > kMaxMessage) {
-    return Status{StatusCode::kAborted, "frame length implausible"};
+void RxBuffer::compact() {
+  if (off == bytes.size()) {
+    bytes.clear();
+    off = 0;
+  } else if (off >= 4096 && off * 2 >= bytes.size()) {
+    bytes.erase(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(off));
+    off = 0;
   }
-  if ((word & kTraceFlag) != 0) {
-    auto extra = socket.recv_exact(kTraceHeaderBytes);
-    if (!extra.is_ok()) return extra.status();
+}
+
+support::Result<Bytes> MessageCodec::recv_message(StreamSocket& socket,
+                                                  RxBuffer& rx) {
+  for (bool closed = false;;) {
+    BytesView payload;
+    const Scan scan = scan_message(rx.bytes, rx.off, payload);
+    if (scan == Scan::kFrame) {
+      Bytes out = payload.to_owned();
+      rx.compact();
+      return out;
+    }
+    if (scan == Scan::kCorrupt) {
+      return Status{StatusCode::kAborted, "corrupt frame"};
+    }
+    if (closed) return Status{StatusCode::kClosed, "peer closed the connection"};
+    closed = socket.recv_into(rx.bytes).closed;
   }
-  auto payload = socket.recv_exact(length);
-  if (!payload.is_ok()) return payload.status();
-  if (fletcher16(payload.value()) != checksum) {
-    return Status{StatusCode::kAborted, "checksum mismatch"};
-  }
-  return payload;
 }
 
 Bytes Frame::encode() const {

@@ -5,6 +5,12 @@
 // stream has no message boundaries, so applications add them. The stream
 // codec is length-prefix + Fletcher checksum; the datagram frame adds the
 // type/sequence header ARQ needs.
+//
+// Every stream reader — the three server models, Client, LoadGen's drivers
+// — reads one way: it appends what the socket holds to an RxBuffer and
+// parses whole frames in place with MessageCodec::scan_message, the one
+// decoder of the stream frame header. recv_message is that loop for a
+// blocking reader.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +31,19 @@ struct BytesView {
   std::size_t size = 0;
 
   [[nodiscard]] Bytes to_owned() const { return Bytes(data, data + size); }
+};
+
+/// One stream reader's receive state: the bytes taken from the socket and
+/// the offset of the first unparsed frame. Frames are parsed in place, so
+/// the buffer is contiguous; compact() is the one reclaim rule for every
+/// reader.
+struct RxBuffer {
+  Bytes bytes;
+  std::size_t off = 0;
+
+  /// Call after parsing: empties a fully parsed buffer, and erases the
+  /// parsed prefix once it is at least 4 KiB and half the buffer.
+  void compact();
 };
 
 /// Length-prefixed, checksummed message framing over a StreamSocket.
@@ -55,11 +74,14 @@ class MessageCodec {
   static void encode_message(const Bytes& payload, Bytes& wire,
                              obs::SpanContext trace = {});
 
-  /// Receives one framed message (the client side; servers parse in place
-  /// with scan_message); kAborted on checksum mismatch, kClosed when the
-  /// peer closed cleanly between messages. A traced frame's context is
-  /// skipped.
-  static support::Result<Bytes> recv_message(StreamSocket& socket);
+  /// Blocking receive of the next frame through `rx`: scans at `rx.off`
+  /// and waits in recv_into only while the frame is incomplete. kAborted
+  /// on a corrupt frame (implausible length or checksum mismatch), kClosed
+  /// when the peer closed before a whole frame arrived. Frames that arrive
+  /// behind the returned one wait in `rx`, in order. A traced frame's
+  /// context is skipped.
+  static support::Result<Bytes> recv_message(StreamSocket& socket,
+                                             RxBuffer& rx);
 
   enum class Scan {
     kFrame,     // a complete frame was parsed; `out` points into `buffer`

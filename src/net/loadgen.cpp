@@ -71,8 +71,7 @@ struct PendingShot {
 /// One connection as a driver thread sees it.
 struct GenConn {
   StreamSocket socket;
-  Bytes rx;                     // reply bytes, frames parsed in place
-  std::size_t off = 0;          // parse offset
+  RxBuffer rx;                  // reply bytes, frames parsed in place
   std::vector<PendingShot> pending;  // unanswered requests, send order
   std::size_t pending_head = 0; // replies arrive in order
   bool alive = false;
@@ -267,11 +266,16 @@ LoadGenReport LoadGen::run(const LoadGenConfig& config) {
       std::vector<std::uint64_t> tags;
       auto drain_conn = [&](GenConn& conn) {
         if (!conn.alive) return;
-        const auto drained = conn.socket.try_recv_into(conn.rx);
+        bool closed = conn.socket.try_recv_into(conn.rx.bytes).closed;
         for (;;) {
           BytesView reply;
-          if (MessageCodec::scan_message(conn.rx, conn.off, reply) !=
-              MessageCodec::Scan::kFrame) {
+          const auto scan =
+              MessageCodec::scan_message(conn.rx.bytes, conn.rx.off, reply);
+          if (scan == MessageCodec::Scan::kNeedMore) break;
+          // A corrupt reply poisons the stream: nothing behind it can be
+          // matched to a request, so the connection ends like a FIN.
+          if (scan == MessageCodec::Scan::kCorrupt) {
+            closed = true;
             break;
           }
           // Replies are in order on a stream: this reply answers the
@@ -283,16 +287,14 @@ LoadGenReport LoadGen::run(const LoadGenConfig& config) {
           ++result.received;
           --outstanding;
         }
-        if (conn.off == conn.rx.size()) {
-          conn.rx.clear();
-          conn.off = 0;
-        }
-        if (drained.closed) {
+        conn.rx.compact();
+        if (closed) {
           const auto lost = conn.pending.size() - conn.pending_head;
           result.closed_early += lost;
           outstanding -= lost;
           conn.alive = false;
           conn.socket.unwatch();
+          conn.socket.close();
           // Requests that died with the connection close as error spans —
           // exactly the traces tail sampling must keep.
           while (conn.pending_head < conn.pending.size()) {

@@ -85,6 +85,7 @@ struct LoadGenReport {
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
   std::uint64_t closed_early = 0;  // requests lost to a closed connection
+                                   // (a peer FIN or a corrupt reply)
   double elapsed_s = 0.0;          // first scheduled send → last driver done
   double rps = 0.0;                // received / elapsed_s
   double mean_us = 0.0;            // open-loop latency (scheduled → reply)

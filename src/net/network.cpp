@@ -72,20 +72,6 @@ void DatagramSocket::deliver(Datagram dgram) {
   arrived_.notify_one();
 }
 
-support::Result<Datagram> DatagramSocket::recv() {
-  std::unique_lock lock(mutex_);
-  arrived_.wait(lock, [&] { return !queue_.empty() || closed_; });
-  if (queue_.empty()) return Status{StatusCode::kClosed, "socket closed"};
-  Datagram dgram = std::move(queue_.front());
-  queue_.pop_front();
-  PDC_OBS_COUNT("pdc.net.received");
-  if (host_received_ != nullptr) host_received_->inc();
-  obs::wire_accept(dgram.trace, "net.recv",
-                   static_cast<std::uint64_t>(dgram.from.host),
-                   dgram.payload.size());
-  return dgram;
-}
-
 support::Result<Datagram> DatagramSocket::recv_for(
     std::chrono::milliseconds timeout) {
   std::unique_lock lock(mutex_);
@@ -116,39 +102,6 @@ Status StreamSocket::send(const Bytes& data) {
   return net_->send_stream(state_, is_a_, data, /*fin=*/false);
 }
 
-support::Result<Bytes> StreamSocket::recv(std::size_t max_bytes) {
-  PDC_CHECK(valid());
-  Half& half = inbound();
-  std::unique_lock lock(half.mutex);
-  half.arrived.wait(lock, [&] { return half.available() != 0 || half.closed; });
-  if (half.available() == 0) {
-    return Status{StatusCode::kClosed, "peer closed the connection"};
-  }
-  const std::size_t n = std::min(max_bytes, half.available());
-  const auto first =
-      half.buffer.begin() + static_cast<std::ptrdiff_t>(half.head);
-  Bytes out(first, first + static_cast<std::ptrdiff_t>(n));
-  half.head += n;
-  half.compact();
-  return out;
-}
-
-support::Result<Bytes> StreamSocket::recv_exact(std::size_t n) {
-  PDC_CHECK(valid());
-  Half& half = inbound();
-  std::unique_lock lock(half.mutex);
-  half.arrived.wait(lock, [&] { return half.available() >= n || half.closed; });
-  if (half.available() < n) {
-    return Status{StatusCode::kClosed, "connection closed mid-message"};
-  }
-  const auto first =
-      half.buffer.begin() + static_cast<std::ptrdiff_t>(half.head);
-  Bytes out(first, first + static_cast<std::ptrdiff_t>(n));
-  half.head += n;
-  half.compact();
-  return out;
-}
-
 StreamSocket::Drained StreamSocket::try_recv_into(Bytes& out) {
   PDC_CHECK(valid());
   Half& half = inbound();
@@ -160,7 +113,7 @@ StreamSocket::Drained StreamSocket::recv_into(Bytes& out) {
   PDC_CHECK(valid());
   Half& half = inbound();
   std::unique_lock lock(half.mutex);
-  half.arrived.wait(lock, [&] { return half.available() != 0 || half.closed; });
+  half.arrived.wait(lock, [&] { return half.ready(); });
   return half.take_into(out);
 }
 
@@ -171,7 +124,7 @@ void StreamSocket::watch(ReadySet* set, std::uint64_t tag) {
   half.watch.set = set;
   half.watch.tag = tag;
   half.watch.queued = false;
-  if (half.available() != 0 || half.closed) signal_watch(half.watch);
+  if (half.ready()) signal_watch(half.watch);
 }
 
 void StreamSocket::rearm() {
@@ -181,7 +134,7 @@ void StreamSocket::rearm() {
   half.watch.queued = false;
   // Data (or the FIN) that raced in while the owner was draining would
   // otherwise be a lost wakeup: re-enqueue immediately.
-  if (half.available() != 0 || half.closed) signal_watch(half.watch);
+  if (half.ready()) signal_watch(half.watch);
 }
 
 void StreamSocket::unwatch() {
@@ -204,13 +157,9 @@ void StreamSocket::abort() {
 }
 
 StreamSocket::Drained StreamSocket::Half::take_into(Bytes& out) {
-  const Drained drained{available(), closed};
-  if (drained.bytes != 0) {
-    out.insert(out.end(), buffer.begin() + static_cast<std::ptrdiff_t>(head),
-               buffer.end());
-    buffer.clear();
-    head = 0;
-  }
+  const Drained drained{buffer.size(), closed};
+  out.insert(out.end(), buffer.begin(), buffer.end());
+  buffer.clear();
   return drained;
 }
 

@@ -29,6 +29,12 @@
 // thread hand-offs at 0 ms (client → event loop → pool worker → client)
 // and 5 with delay (the dispatcher sits between each sender and receiver).
 //
+// Reading. A stream half hands over everything it holds at once:
+// try_recv_into appends every buffered byte to the caller's buffer without
+// waiting, recv_into waits for at least one byte or the FIN first. There
+// is no partial read; a reader keeps its own receive buffer and parses
+// frames there (framing.hpp's RxBuffer and MessageCodec::scan_message).
+//
 // Readiness (event-driven servers): a StreamSocket or Listener can be
 // *watched* by a ReadySet. Arriving bytes, a peer close, or a pending
 // accept enqueue the socket's tag exactly once; the owner drains tags in
@@ -128,9 +134,6 @@ class DatagramSocket {
   /// Fire-and-forget send; the fabric may drop, delay or duplicate it.
   void send_to(const Address& to, Bytes payload);
 
-  /// Blocking receive.
-  support::Result<Datagram> recv();
-
   /// Timed receive; kTimeout when nothing arrives in time.
   support::Result<Datagram> recv_for(std::chrono::milliseconds timeout);
 
@@ -175,23 +178,16 @@ class StreamSocket {
   support::Status send(const Bytes& data);
   support::Status send_text(const std::string& text) { return send(to_bytes(text)); }
 
-  /// Receives up to `max_bytes` (at least 1 when data is available);
-  /// kClosed once the peer closed and the buffer is drained.
-  support::Result<Bytes> recv(std::size_t max_bytes = 64 * 1024);
-
-  /// Receives exactly `n` bytes or fails with kClosed.
-  support::Result<Bytes> recv_exact(std::size_t n);
-
-  /// What a non-blocking drain observed.
+  /// What a drain observed.
   struct Drained {
     std::size_t bytes = 0;  // bytes appended to the caller's buffer
     bool closed = false;    // peer has closed this direction
   };
 
   /// Non-blocking: appends every buffered inbound byte to `out` and
-  /// reports whether the peer closed. Never waits — the event-loop
-  /// counterpart of recv(). Bytes already appended remain valid even when
-  /// `closed` is set (a FIN behind buffered data).
+  /// reports whether the peer closed. Never waits — the event-loop read.
+  /// Bytes already appended remain valid even when `closed` is set (a FIN
+  /// behind buffered data).
   Drained try_recv_into(Bytes& out);
 
   /// Blocking twin of try_recv_into: waits until at least one byte or the
@@ -210,7 +206,8 @@ class StreamSocket {
   /// Removes the ReadySet registration (before destroying the ReadySet).
   void unwatch();
 
-  /// Closes this direction; the peer's recv drains then reports kClosed.
+  /// Closes this direction; the peer's reads drain the buffered bytes,
+  /// then report `closed`.
   void close();
 
   /// Hard local teardown: immediately marks both directions closed and
@@ -225,11 +222,8 @@ class StreamSocket {
   struct Half {  // one direction's receive buffer
     std::mutex mutex;
     std::condition_variable arrived;
-    // Contiguous stream buffer; live bytes are [head, buffer.size()).
-    // Contiguity is what makes zero-copy framing possible: a codec can
-    // parse headers and hand out payload views in place.
+    // Bytes delivered and not yet taken; a reader takes all of them.
     Bytes buffer;
-    std::size_t head = 0;
     bool closed = false;
     WatchState watch;
     // Last scheduled delivery time (guarded by the Network mutex, not this
@@ -237,8 +231,9 @@ class StreamSocket {
     // never overtake earlier bytes.
     double last_due = 0.0;
 
-    [[nodiscard]] std::size_t available() const { return buffer.size() - head; }
-    /// Moves every live byte to the end of `out` (caller holds `mutex`).
+    /// Bytes or the FIN are waiting (caller holds `mutex`).
+    [[nodiscard]] bool ready() const { return !buffer.empty() || closed; }
+    /// Moves every buffered byte to the end of `out` (caller holds `mutex`).
     Drained take_into(Bytes& out);
     /// The one stream delivery step: under this half's lock, appends
     /// `data` — or, with `fin`, marks the direction closed — enqueues the
@@ -246,17 +241,6 @@ class StreamSocket {
     /// thread for zero-delay traffic and on the dispatcher for delayed
     /// traffic. False when data meets a closed direction (it is dropped).
     bool deliver(const Bytes& data, bool fin);
-    /// Reclaims the consumed prefix once it dominates the buffer.
-    void compact() {
-      if (head == buffer.size()) {
-        buffer.clear();
-        head = 0;
-      } else if (head >= 4096 && head * 2 >= buffer.size()) {
-        buffer.erase(buffer.begin(),
-                     buffer.begin() + static_cast<std::ptrdiff_t>(head));
-        head = 0;
-      }
-    }
   };
   struct ConnState {
     Half a_to_b;

@@ -172,7 +172,7 @@ struct Server::EventEngine {
 
   /// Drains and serves one connection; false when it should be closed.
   bool process(Conn& conn) {
-    const bool closed = conn.socket.try_recv_into(conn.rx).closed;
+    const bool closed = conn.socket.try_recv_into(conn.rx.bytes).closed;
     // Peer FIN: frames ahead of it are answered; a trailing partial frame
     // can never complete.
     return server.serve_buffered(conn) && !closed;
@@ -217,7 +217,7 @@ bool Server::serve_buffered(Conn& conn) {
     BytesView request;
     obs::SpanContext trace;
     const auto scan =
-        MessageCodec::scan_message(conn.rx, conn.off, request, trace);
+        MessageCodec::scan_message(conn.rx.bytes, conn.rx.off, request, trace);
     if (scan == MessageCodec::Scan::kNeedMore) break;
     if (scan == MessageCodec::Scan::kCorrupt) return false;
     // Event-engine frames only: a scrape served by a thread-per-connection
@@ -227,14 +227,7 @@ bool Server::serve_buffered(Conn& conn) {
     if (engine_) PDC_OBS_COUNT("pdc.server.frames");
     if (!serve_frame(conn.socket, request, trace)) return false;
   }
-  if (conn.off == conn.rx.size()) {
-    conn.rx.clear();
-    conn.off = 0;
-  } else if (conn.off >= 4096 && conn.off * 2 >= conn.rx.size()) {
-    conn.rx.erase(conn.rx.begin(),
-                  conn.rx.begin() + static_cast<std::ptrdiff_t>(conn.off));
-    conn.off = 0;
-  }
+  conn.rx.compact();
   return true;
 }
 
@@ -389,9 +382,9 @@ void Server::accept_loop() {
 }
 
 void Server::serve_connection(StreamSocket socket) {
-  Conn conn{std::move(socket), {}, 0};
+  Conn conn{std::move(socket), {}};
   for (;;) {
-    const bool closed = conn.socket.recv_into(conn.rx).closed;
+    const bool closed = conn.socket.recv_into(conn.rx.bytes).closed;
     if (!serve_buffered(conn) || closed) break;
   }
   conn.socket.close();
@@ -415,8 +408,8 @@ void Server::retire(const StreamSocket& socket) {
 }
 
 void Server::drain_buffered(StreamSocket socket) {
-  Conn conn{std::move(socket), {}, 0};
-  (void)conn.socket.try_recv_into(conn.rx);
+  Conn conn{std::move(socket), {}};
+  (void)conn.socket.try_recv_into(conn.rx.bytes);
   (void)serve_buffered(conn);
   conn.socket.close();
 }
@@ -425,6 +418,7 @@ Status Client::connect(const Address& server) {
   auto socket = net_.connect(host_, server);
   if (!socket.is_ok()) return socket.status();
   socket_ = std::move(socket).value();
+  rx_ = {};
   return Status::ok();
 }
 
@@ -437,7 +431,7 @@ support::Result<Bytes> Client::call(const Bytes& request) {
 }
 
 support::Result<Bytes> Client::recv() {
-  return MessageCodec::recv_message(socket_);
+  return MessageCodec::recv_message(socket_, rx_);
 }
 
 support::Result<std::string> Client::call_text(const std::string& request) {

@@ -16,10 +16,12 @@
 //    that holds 10^5..10^6 concurrent connections (see docs/serving.md).
 //
 // The models differ only in who waits for bytes. Each appends what the
-// socket holds to the connection's receive buffer (the event engine and
-// the worker-pool stop drain without waiting, the connection threads
+// socket holds to the connection's RxBuffer (the event engine and the
+// worker-pool stop drain without waiting, the connection threads
 // blocking), then one serve step parses every complete frame in place and
-// answers it: raw handler, server.drain span, handler, reply.
+// answers it: raw handler, server.drain span, handler, reply. Client reads
+// its replies the same way, through MessageCodec::recv_message on its own
+// RxBuffer.
 //
 // The RPC layer adds named-procedure dispatch on top (the "middleware"
 // rung of the distributed-systems lecture).
@@ -111,8 +113,7 @@ class Server {
   /// One connection's receive state, whatever the threading model.
   struct Conn {
     StreamSocket socket;
-    Bytes rx;             // receive buffer; frames parsed in place
-    std::size_t off = 0;  // parse offset into rx
+    RxBuffer rx;
   };
 
   void accept_loop();
@@ -154,7 +155,7 @@ class Client {
  public:
   Client(Network& net, int host) : net_(net), host_(host) {}
 
-  /// Opens the connection (one per client).
+  /// Opens the connection (one per client), with an empty receive buffer.
   support::Status connect(const Address& server);
 
   /// One round trip; kClosed if the server went away.
@@ -171,6 +172,7 @@ class Client {
   Network& net_;
   int host_;
   StreamSocket socket_;
+  RxBuffer rx_;  // replies not yet returned, in order
 };
 
 // ----------------------------------------------------------------------- RPC

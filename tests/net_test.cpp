@@ -55,7 +55,7 @@ TEST(Datagram, DeliversPayloadAndSource) {
   auto a = net.open_datagram(0, 100);
   auto b = net.open_datagram(1, 200);
   a->send_to(b->local(), to_bytes("ping"));
-  const auto dgram = b->recv();
+  const auto dgram = b->recv_for(5s);
   ASSERT_TRUE(dgram.is_ok());
   EXPECT_EQ(to_string(dgram.value().payload), "ping");
   EXPECT_EQ(dgram.value().from, a->local());
@@ -121,18 +121,18 @@ TEST(Stream, ConnectAcceptRoundTrip) {
   std::thread server([&] {
     auto conn = listener->accept();
     ASSERT_TRUE(conn.is_ok());
-    auto request = conn.value().recv();
-    ASSERT_TRUE(request.is_ok());
-    EXPECT_EQ(to_string(request.value()), "hello");
+    Bytes request;
+    EXPECT_EQ(conn.value().recv_into(request).bytes, 5u);
+    EXPECT_EQ(to_string(request), "hello");
     ASSERT_TRUE(conn.value().send_text("world").is_ok());
     conn.value().close();
   });
   auto client = net.connect(0, Address{1, 80});
   ASSERT_TRUE(client.is_ok());
   ASSERT_TRUE(client.value().send_text("hello").is_ok());
-  auto reply = client.value().recv();
-  ASSERT_TRUE(reply.is_ok());
-  EXPECT_EQ(to_string(reply.value()), "world");
+  Bytes reply;
+  EXPECT_EQ(client.value().recv_into(reply).bytes, 5u);
+  EXPECT_EQ(to_string(reply), "world");
   server.join();
 }
 
@@ -146,10 +146,7 @@ TEST(Stream, ReliableInOrderUnderLossyConfig) {
   std::thread server([&] {
     auto conn = listener->accept().value();
     Bytes all;
-    for (;;) {
-      auto chunk = conn.recv();
-      if (!chunk.is_ok()) break;
-      all.insert(all.end(), chunk.value().begin(), chunk.value().end());
+    while (!conn.recv_into(all).closed) {
     }
     EXPECT_EQ(all.size(), 100u * 64);
     // In-order: the i-th byte encodes i/64.
@@ -166,7 +163,9 @@ TEST(Stream, ReliableInOrderUnderLossyConfig) {
   server.join();
 }
 
-TEST(Stream, RecvExactWaitsForAllBytes) {
+// A blocking reader waits for each chunk in turn, then sees the close
+// behind them, with nothing more to read.
+TEST(Stream, RecvIntoCollectsBothChunksThenSeesTheClose) {
   Network net(2, fast_net());
   auto listener = net.listen(1, 80);
   std::thread server([&] {
@@ -177,10 +176,17 @@ TEST(Stream, RecvExactWaitsForAllBytes) {
     conn.close();
   });
   auto client = net.connect(0, Address{1, 80}).value();
-  auto data = client.recv_exact(20);
-  ASSERT_TRUE(data.is_ok());
-  EXPECT_EQ(data.value().size(), 20u);
-  EXPECT_EQ(client.recv_exact(1).status().code(), StatusCode::kClosed);
+  Bytes data;
+  bool closed = false;
+  while (data.size() < 20 && !closed) closed = client.recv_into(data).closed;
+  EXPECT_EQ(data.size(), 20u);
+  Bytes expect = make_data(10);
+  const Bytes second = make_data(10, 2);
+  expect.insert(expect.end(), second.begin(), second.end());
+  EXPECT_EQ(data, expect);
+  const auto end = client.recv_into(data);
+  EXPECT_TRUE(end.closed);
+  EXPECT_EQ(end.bytes, 0u);
   server.join();
 }
 
@@ -238,18 +244,20 @@ TEST(Framing, MessageCodecRoundTrip) {
   auto listener = net.listen(1, 80);
   std::thread server([&] {
     auto conn = listener->accept().value();
+    RxBuffer rx;
     for (int i = 0; i < 3; ++i) {
-      auto msg = MessageCodec::recv_message(conn);
+      auto msg = MessageCodec::recv_message(conn, rx);
       ASSERT_TRUE(msg.is_ok());
       MessageCodec::send_message(conn, msg.value());  // echo
     }
     conn.close();
   });
   auto client = net.connect(0, Address{1, 80}).value();
+  RxBuffer rx;
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{5000}}) {
     const Bytes msg = make_data(n, n + 1);
     ASSERT_TRUE(MessageCodec::send_message(client, msg).is_ok());
-    auto echo = MessageCodec::recv_message(client);
+    auto echo = MessageCodec::recv_message(client, rx);
     ASSERT_TRUE(echo.is_ok());
     EXPECT_EQ(echo.value(), msg);
   }
@@ -513,17 +521,24 @@ TEST_P(ReadySetAtDelay, RearmResignalsWhenDataIsStillPending) {
   ReadySet ready;
   std::vector<std::uint64_t> tags;
   server.watch(&ready, 7);
-  ASSERT_TRUE(client.value().send(to_bytes("xy")).is_ok());
+  ASSERT_TRUE(client.value().send(to_bytes("x")).is_ok());
   ASSERT_EQ(ready.poll(tags, 1000ms), 1u);
 
-  // Consumer takes only part of the data (plain recv), then rearms: the
-  // leftover byte must re-signal immediately — no lost wakeup.
-  auto first = server.recv_exact(1);
-  ASSERT_TRUE(first.is_ok());
+  // Consumer drains, then more bytes arrive before it rearms. The tag is
+  // still queued, so their arrival does not signal; rearm() must re-signal
+  // for them at once — no lost wakeup.
+  Bytes buffer;
+  EXPECT_EQ(server.try_recv_into(buffer).bytes, 1u);
+  ASSERT_TRUE(client.value().send(to_bytes("y")).is_ok());
+  std::this_thread::sleep_for(5ms);
+  tags.clear();
+  EXPECT_EQ(ready.poll(tags, 0ms), 0u);
   server.rearm();
   tags.clear();
   ASSERT_EQ(ready.poll(tags, 1000ms), 1u);
   EXPECT_EQ(tags[0], 7u);
+  EXPECT_EQ(server.try_recv_into(buffer).bytes, 1u);
+  EXPECT_EQ(to_string(buffer), "xy");
   server.unwatch();
 }
 
@@ -593,9 +608,9 @@ TEST(Stream, ConnectAsyncCompletesOffThread) {
   auto server = listener->accept();
   ASSERT_TRUE(server.is_ok());
   ASSERT_TRUE(client.value().send(to_bytes("hi")).is_ok());
-  auto got = server.value().recv();
-  ASSERT_TRUE(got.is_ok());
-  EXPECT_EQ(to_string(got.value()), "hi");
+  Bytes got;
+  EXPECT_EQ(server.value().recv_into(got).bytes, 2u);
+  EXPECT_EQ(to_string(got), "hi");
 }
 
 TEST(Stream, ImpairedStreamStaysReliableAndOrdered) {
@@ -614,12 +629,11 @@ TEST(Stream, ImpairedStreamStaysReliableAndOrdered) {
   }
   // Reliable in-order delivery even though each chunk drew its own delay:
   // the per-direction due-time clamp forbids overtaking.
-  std::string all;
-  while (all.size() < 4 * 50 - 60) {  // enough bytes that order would break
-    auto got = server.recv();
-    ASSERT_TRUE(got.is_ok());
-    all += to_string(got.value());
+  Bytes got;
+  while (got.size() < 4 * 50 - 60) {  // enough bytes that order would break
+    ASSERT_FALSE(server.recv_into(got).closed);
   }
+  const std::string all = to_string(got);
   std::string expect;
   for (int i = 0; expect.size() < all.size(); ++i) {
     expect += "m" + std::to_string(i) + ";";
@@ -734,13 +748,27 @@ TEST_P(ServerModelTest, ViewHandlerEchoes) {
 }
 
 // Returning true from the raw handler suppresses the reply: the handler
-// owns the socket's response schedule, and sees the request in place.
+// owns the socket's response schedule, and sees the request in place. It
+// can also write a broken reply, which is how the client end's errors are
+// driven: a flipped checksum byte and an oversized length word are
+// kAborted (the latter at once, no body ever follows), a reply torn by
+// the server's close is kClosed, and a Client that reconnects after any
+// of them reads the new connection's reply, not the old bytes.
 TEST_P(ServerModelTest, RawHandlerCanSuppressReplies) {
   Network net(2, net_config());
   ServerConfig config = server_config();
   config.raw_handler = [](BytesView request, StreamSocket& socket) {
-    (void)MessageCodec::send_message(
-        socket, to_bytes("raw:" + to_string(request.to_owned())));
+    const std::string text = to_string(request.to_owned());
+    Bytes reply;
+    MessageCodec::encode_message(to_bytes("raw:" + text), reply);
+    if (text == "flip") reply[4] ^= std::byte{0x01};  // checksum, low byte
+    if (text == "huge") {  // length word ~2 GB, far above kMaxMessage
+      reply[3] = std::byte{0x7f};
+      reply.resize(MessageCodec::kHeaderBytes);
+    }
+    if (text == "torn") reply.resize(MessageCodec::kHeaderBytes + 2);
+    (void)socket.send(reply);
+    if (text == "torn") socket.close();
     return true;
   };
   Server server(net, 0, 80, [](const Bytes& b) { return b; }, config);
@@ -749,9 +777,20 @@ TEST_P(ServerModelTest, RawHandlerCanSuppressReplies) {
   auto reply = client.call_text("ignored");
   ASSERT_TRUE(reply.is_ok());
   EXPECT_EQ(reply.value(), "raw:ignored");
+  for (const auto& [request, code] :
+       {std::pair{"flip", StatusCode::kAborted},
+        std::pair{"huge", StatusCode::kAborted},
+        std::pair{"torn", StatusCode::kClosed}}) {
+    EXPECT_EQ(client.call_text(request).status().code(), code) << request;
+    client.close();
+    ASSERT_TRUE(client.connect(server.address()).is_ok());
+    reply = client.call_text("ignored");
+    ASSERT_TRUE(reply.is_ok()) << "after " << request;
+    EXPECT_EQ(reply.value(), "raw:ignored");
+  }
   client.close();
   server.stop();
-  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(server.requests_served(), 7u);
 }
 
 // However the stream splits the frames — three in one send, one torn
@@ -781,12 +820,13 @@ TEST_P(ServerModelTest, ServesPipelinedAndSplitFramesThenClosesOnCorruption) {
   corrupt.back() ^= std::byte{0x01};
   ASSERT_TRUE(socket.send(corrupt).is_ok());
 
+  RxBuffer rx;
   for (const char* msg : {"one", "two", "three", "four"}) {
-    auto reply = MessageCodec::recv_message(socket);
+    auto reply = MessageCodec::recv_message(socket, rx);
     ASSERT_TRUE(reply.is_ok());
     EXPECT_EQ(to_string(reply.value()), msg);
   }
-  EXPECT_EQ(MessageCodec::recv_message(socket).status().code(),
+  EXPECT_EQ(MessageCodec::recv_message(socket, rx).status().code(),
             StatusCode::kClosed);
   EXPECT_EQ(server.requests_served(), 4u);
   socket.close();

@@ -835,7 +835,8 @@ TEST(Telemetry, SubscriptionRejectsBadRequests) {
     ASSERT_TRUE(net::MessageCodec::send_message(socket.value(),
                                                 net::to_bytes(std::string(bad)))
                     .is_ok());
-    auto reply = net::MessageCodec::recv_message(socket.value());
+    net::RxBuffer rx;
+    auto reply = net::MessageCodec::recv_message(socket.value(), rx);
     ASSERT_TRUE(reply.is_ok());
     EXPECT_NE(net::to_string(reply.value()).find("usage"), std::string::npos)
         << bad;
@@ -956,7 +957,7 @@ TEST(Labels, MpRanksAndNetHostsGetLabeledTwins) {
   auto tx = net.open_datagram(0, 7000);
   auto rx = net.open_datagram(1, 7001);
   tx->send_to(rx->local(), net::to_bytes(std::string("hi")));
-  ASSERT_TRUE(rx->recv().is_ok());
+  ASSERT_TRUE(rx->recv_for(std::chrono::seconds(5)).is_ok());
 
   const auto snap = MetricsRegistry::instance().scrape();
   for (const char* rank : {"0", "1", "2"}) {

@@ -5,6 +5,7 @@
 // a telemetry scrape of the run's totals.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -151,6 +152,39 @@ TEST(ServerLoad, FaultsDelayButConserveRequests) {
   EXPECT_EQ(totals.faults.messages, 2u * totals.report.sent);
   EXPECT_GT(totals.faults.dropped + totals.faults.reordered, 0u);
   EXPECT_GT(totals.report.p99_us, 0.0);
+}
+
+// A corrupt reply poisons its connection's stream: LoadGen closes the
+// connection as if the server had sent a FIN, so the requests still
+// pending on it count as closed early (not lost from the ledger), later
+// requests for it fail at once, and the run ends with the window instead
+// of waiting out the grace period.
+TEST(ServerLoad, CorruptReplyClosesTheConnectionAndBalancesTheLedger) {
+  Network net(2, fast_net());
+  std::atomic<int> replies{0};
+  ServerConfig server_config;
+  server_config.model = ThreadingModel::kEventDriven;
+  server_config.workers = 2;
+  server_config.raw_handler = [&](BytesView request, StreamSocket& socket) {
+    Bytes reply;
+    MessageCodec::encode_message(request.to_owned(), reply);
+    if (++replies == 4) reply.back() ^= std::byte{0x01};
+    (void)socket.send(reply);
+    return true;
+  };
+  Server server(net, 0, 80, [](const Bytes& b) { return b; }, server_config);
+
+  LoadGenConfig load;
+  load.connections = 1;
+  load.requests = 20;
+  load.duration_s = 0.05;
+  load.grace_s = 2.0;
+  load.drivers = 1;
+  const LoadGenReport report = LoadGen(net, server.address()).run(load);
+  server.stop();
+  EXPECT_EQ(report.received, 3u);
+  EXPECT_EQ(report.received + report.closed_early, load.requests);
+  EXPECT_LT(report.elapsed_s, load.duration_s + load.grace_s / 2);
 }
 
 // Fixed seed => identical totals, all the way through a telemetry scrape:

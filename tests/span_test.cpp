@@ -110,10 +110,11 @@ TEST(SpanFraming, RecvMessageSkipsTheTraceHeader) {
                   .is_ok());
   ASSERT_TRUE(
       MessageCodec::send_message(client.value(), net::to_bytes("plain")).is_ok());
-  auto first = MessageCodec::recv_message(server);
+  net::RxBuffer rx;
+  auto first = MessageCodec::recv_message(server, rx);
   ASSERT_TRUE(first.is_ok());
   EXPECT_EQ(net::to_string(first.value()), "traced");
-  auto second = MessageCodec::recv_message(server);
+  auto second = MessageCodec::recv_message(server, rx);
   ASSERT_TRUE(second.is_ok());
   EXPECT_EQ(net::to_string(second.value()), "plain");
 }
@@ -352,7 +353,8 @@ void expect_server_drain_linkage(net::ThreadingModel model) {
   ASSERT_TRUE(MessageCodec::send_message(stream, net::to_bytes("ping"),
                                          root.context())
                   .is_ok());
-  auto reply = MessageCodec::recv_message(stream);
+  net::RxBuffer rx;
+  auto reply = MessageCodec::recv_message(stream, rx);
   ASSERT_TRUE(reply.is_ok());
   obs::span_end(root);
 
