@@ -6,9 +6,9 @@
 // latency when the model runs out? Thread-per-connection spends a thread
 // per client and dies by context-switch; the worker pool holds a
 // connection per worker until the client hangs up, so every connection
-// beyond `workers` starves in the accept queue; the event-driven engine
-// multiplexes every connection over a readiness loop + work-stealing pool
-// and is the only model that reaches 10^5..10^6 connections.
+// beyond `workers` starves in the accept queue; the event-driven engine's
+// workers take turns polling one ReadySet and serve what they take
+// (Leader/Followers), the only model that reaches 10^5..10^6 connections.
 //
 // Open-loop latency (measured from each request's *scheduled* send time)
 // makes the starvation visible as p99/p999 blowup instead of silently

@@ -4,8 +4,8 @@
 //
 // Part 1 opens 50,000 simulated connections with net::LoadGen and drives
 // a fixed-seed burst arrival curve at an event-driven echo Server: the
-// readiness loop, connection shards, and batch steals all run at a scale
-// no thread-per-connection model could reach on one host.
+// workers take turns leading one ReadySet poll and serve what they take,
+// at a scale no thread-per-connection model could reach on one host.
 //
 // Part 2 records the run's totals — every one a deterministic function of
 // the fixed seed — into a private MetricsRegistry and serves it through a

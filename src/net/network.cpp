@@ -28,16 +28,20 @@ void signal_watch(WatchState& watch) {
 // ------------------------------------------------------------------ ReadySet
 
 std::size_t ReadySet::poll(std::vector<std::uint64_t>& out,
-                           std::chrono::milliseconds timeout) {
+                           std::chrono::milliseconds timeout, std::size_t max) {
   std::unique_lock lock(mutex_);
   cv_.wait_for(lock, timeout, [&] { return !ready_.empty() || woken_; });
   woken_ = false;
-  const std::size_t n = ready_.size();
-  if (n != 0) {
-    out.insert(out.end(), ready_.begin(), ready_.end());
-    ready_.clear();
-  }
+  const std::size_t n = std::min(ready_.size(), max);
+  const auto taken = ready_.begin() + static_cast<std::ptrdiff_t>(n);
+  out.insert(out.end(), ready_.begin(), taken);
+  ready_.erase(ready_.begin(), taken);
   return n;
+}
+
+std::size_t ReadySet::size() {
+  std::scoped_lock lock(mutex_);
+  return ready_.size();
 }
 
 void ReadySet::wake() {

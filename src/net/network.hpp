@@ -25,9 +25,9 @@
 // latency effects are real wall-clock effects observable in benches.
 // Both paths end in one step, StreamSocket::Half::deliver. Lock order:
 // sender's locks → receiving Half → ReadySet; the last two are leaves (no
-// callback runs under them). An event-driven request therefore takes 3
-// thread hand-offs at 0 ms (client → event loop → pool worker → client)
-// and 5 with delay (the dispatcher sits between each sender and receiver).
+// callback runs under them). An event-driven request therefore takes 2
+// thread hand-offs at 0 ms (client → engine worker → client) and 4 with
+// delay (the dispatcher sits between each sender and receiver).
 //
 // Reading. A stream half hands over everything it holds at once:
 // try_recv_into appends every buffered byte to the caller's buffer without
@@ -37,10 +37,11 @@
 //
 // Readiness (event-driven servers): a StreamSocket or Listener can be
 // *watched* by a ReadySet. Arriving bytes, a peer close, or a pending
-// accept enqueue the socket's tag exactly once; the owner drains tags in
-// batches with ReadySet::poll, consumes the socket non-blockingly
+// accept enqueue the socket's tag exactly once; the owner takes tags in
+// FIFO batches with ReadySet::poll, consumes the socket non-blockingly
 // (try_recv_into / try_accept), and re-arms. rearm() re-enqueues the tag
 // if data raced in while the owner was consuming, so no wakeup is lost.
+// Whoever took a tag owns its socket until it re-arms or unwatches it.
 #pragma once
 
 #include <chrono>
@@ -95,18 +96,25 @@ struct WatchState {
 /// Level-triggered-with-rearm readiness queue for an event loop. Watched
 /// endpoints push their tag when they become ready; poll() hands the
 /// accumulated batch to the loop in one call (one wakeup can carry
-/// thousands of ready connections). Tags are just integers — a tag for an
-/// endpoint the consumer already closed is harmless and simply ignored.
+/// thousands of ready connections), oldest first. Tags are just integers
+/// the consumer chooses: a connection id, or the address of its record.
 class ReadySet {
  public:
+  static constexpr std::size_t kAll = static_cast<std::size_t>(-1);
+
   ReadySet() = default;
   ReadySet(const ReadySet&) = delete;
   ReadySet& operator=(const ReadySet&) = delete;
 
   /// Blocks up to `timeout` for at least one ready tag (or a wake()),
-  /// appends the whole batch to `out`, and returns how many were added.
+  /// appends the oldest `max` queued tags (all by default) to `out` in
+  /// arrival order, and returns how many were added. Tags beyond `max`
+  /// stay queued for the next poll.
   std::size_t poll(std::vector<std::uint64_t>& out,
-                   std::chrono::milliseconds timeout);
+                   std::chrono::milliseconds timeout, std::size_t max = kAll);
+
+  /// Tags queued and not yet polled.
+  [[nodiscard]] std::size_t size();
 
   /// Unblocks a poll() in progress (shutdown path).
   void wake();
@@ -118,7 +126,7 @@ class ReadySet {
  private:
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::vector<std::uint64_t> ready_;
+  std::deque<std::uint64_t> ready_;
   bool woken_ = false;
 };
 

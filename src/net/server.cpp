@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "obs/obs.hpp"
-#include "parallel/work_stealing.hpp"
 #include "support/check.hpp"
 
 namespace pdc::net {
@@ -14,56 +13,47 @@ using support::StatusCode;
 
 // ----------------------------------------------------------------EventEngine
 //
-// The event-driven model. One acceptor thread runs the readiness loop:
-// it polls a ReadySet shared by the listener (tag 0) and every connection
-// (tag = connection id), so a single poll() carries an entire batch of
-// ready endpoints. Connections are sharded by id; the loop routes each
-// ready id into its shard's run queue and schedules at most one drain
-// task per shard on the work-stealing pool (the `scheduled` flag). The
-// drain task swap-takes the queue, drains each connection non-blockingly,
-// parses frames zero-copy in place, runs the handler inline, and re-arms
-// the socket — rearm() re-enqueues the tag if bytes raced in, so no
-// wakeup is lost. Per-connection processing is serialized by construction
-// (one drain task per shard), so connection state needs no lock beyond
-// the shard map's.
+// The event-driven model, as Leader/Followers (Schmidt, O'Ryan, Kircher,
+// Pyarali and Buschmann, PLoP 2000). The engine's `workers` threads share
+// one ReadySet, watched by the listener (tag 0) and by every connection
+// (tag = the address of its Conn), and take turns leading: the leader
+// alone waits in poll() while the followers wait for the leader mutex.
+// The leader takes its share of the ready tags, oldest first, hands the
+// mutex on, and serves its tags itself: it drains each connection
+// non-blockingly, answers every complete frame in place, and re-arms the
+// socket; rearm() re-enqueues the tag if bytes raced in, so no wakeup is
+// lost. A tag is queued at most once between rearms, so the thread that
+// took it is the connection's only owner until it re-arms or closes it:
+// connection state needs no lock. An owner unwatches before it closes,
+// so no tag outlives its Conn.
 struct Server::EventEngine {
   static constexpr std::uint64_t kListenerTag = 0;
+  static constexpr auto kPollTimeout = std::chrono::milliseconds(50);
+  // Passes one turn makes over a connection while bytes keep arriving:
+  // pipelined requests are answered without a ReadySet round trip per
+  // burst, and a connection that never stops sending yields the thread.
+  static constexpr int kMaxPasses = 8;
 
-  struct alignas(64) Shard {
-    std::mutex mutex;
-    std::unordered_map<std::uint64_t, Conn> conns;
-    std::vector<std::uint64_t> ready;  // ids with pending readiness
-    std::atomic<bool> scheduled{false};
-    // pdc.server.inflight{shard=}: readiness entries routed but not yet
-    // drained — the "queued in shard ready-list" depth per shard.
-    obs::Gauge* inflight = nullptr;
-  };
-
-  explicit EventEngine(Server& server)
-      : server(server),
-        pool(server.config_.workers),
-        shard_count(server.config_.shards != 0 ? server.config_.shards
-                                               : 2 * server.config_.workers) {
-    shards.reserve(shard_count);
-    for (std::size_t i = 0; i < shard_count; ++i) {
-      shards.push_back(std::make_unique<Shard>());
-      if constexpr (obs::kObsEnabled) {
-        shards.back()->inflight = &obs::MetricsRegistry::instance().gauge(
-            "pdc.server.inflight", {{"shard", std::to_string(i)}});
-      }
-    }
+  explicit EventEngine(Server& server) : server(server) {
     server.listener_->watch(&ready_set, kListenerTag);
+    for (std::size_t w = 0; w < server.config_.workers; ++w) {
+      threads.emplace_back([this] { work(); });
+    }
   }
 
-  Shard& shard_of(std::uint64_t id) { return *shards[id % shard_count]; }
-
-  /// Readiness loop (runs on the Server's acceptor thread).
-  void loop() {
+  void work() {
+    const std::size_t workers = server.config_.workers;
     std::vector<std::uint64_t> tags;
-    while (!stopping.load(std::memory_order_acquire)) {
+    for (;;) {
       tags.clear();
-      ready_set.poll(tags, std::chrono::milliseconds(50));
-      if (stopping.load(std::memory_order_acquire)) return;
+      {
+        std::scoped_lock lead(leader);
+        if (server.stopping_.load(std::memory_order_acquire)) return;
+        // The leader's share is ⌈queued / workers⌉: the rest stay queued
+        // for the followers, which lead in turn.
+        const std::size_t share = (ready_set.size() + workers - 1) / workers;
+        ready_set.poll(tags, kPollTimeout, std::max<std::size_t>(share, 1));
+      }
       if (tags.empty()) continue;
       PDC_OBS_HIST("pdc.server.ready_batch",
                    static_cast<std::uint64_t>(tags.size()));
@@ -71,7 +61,7 @@ struct Server::EventEngine {
         if (tag == kListenerTag) {
           accept_burst();
         } else {
-          route(tag);
+          serve(tag);
         }
       }
     }
@@ -81,133 +71,80 @@ struct Server::EventEngine {
   void accept_burst() {
     for (;;) {
       auto accepted = server.listener_->try_accept();
-      if (!accepted.is_ok()) break;
-      StreamSocket socket = std::move(accepted).value();
-      if (server.stopping_.load(std::memory_order_acquire)) {
-        socket.abort();
-        continue;
+      if (!accepted.is_ok()) {
+        // A shut-down listener stays un-armed: rearm() would signal its
+        // close again at once.
+        if (accepted.status().code() == StatusCode::kUnavailable) {
+          server.listener_->rearm();
+        }
+        return;
       }
-      const std::uint64_t id = next_id++;
-      Shard& shard = shard_of(id);
-      {
-        std::scoped_lock lock(shard.mutex);
-        shard.conns[id].socket = socket;
+      auto conn = std::make_unique<Conn>(Conn{std::move(accepted).value(), {}});
+      const auto tag = reinterpret_cast<std::uint64_t>(conn.get());
+      // Under the table lock, so stop() either aborts this connection or
+      // this sees the stop.
+      std::scoped_lock lock(conns_mutex);
+      if (server.stopping_.load(std::memory_order_acquire)) {
+        conn->socket.abort();
+        continue;
       }
       PDC_OBS_COUNT("pdc.server.accepted");
       PDC_OBS_GAUGE_ADD("pdc.server.conns", 1);
-      // Registering after the shard insert: if data already arrived the
-      // watch signals immediately and route() finds the connection.
-      socket.watch(&ready_set, id);
-    }
-    server.listener_->rearm();
-  }
-
-  void route(std::uint64_t id) {
-    Shard& shard = shard_of(id);
-    {
-      std::scoped_lock lock(shard.mutex);
-      // A tag can outlive its connection (closed while the tag sat in the
-      // ready queue); integers don't dangle, just drop it.
-      if (shard.conns.find(id) == shard.conns.end()) return;
-      shard.ready.push_back(id);
-      if (shard.inflight != nullptr) shard.inflight->add(1);
-    }
-    schedule(shard);
-  }
-
-  void schedule(Shard& shard) {
-    // One in-flight drain task per shard: the flag is cleared only when
-    // the run queue is observed empty under the shard lock, so a route()
-    // racing that clear either lands in the still-running drain's next
-    // sweep or wins this exchange and schedules a fresh task.
-    if (!shard.scheduled.exchange(true, std::memory_order_acq_rel)) {
-      pool.spawn([this, &shard] { drain(shard); });
+      conn->socket.watch(&ready_set, tag);
+      conns.emplace(tag, std::move(conn));
     }
   }
 
-  void drain(Shard& shard) {
-    std::vector<std::uint64_t> batch;
-    for (;;) {
-      batch.clear();
-      {
-        std::scoped_lock lock(shard.mutex);
-        batch.swap(shard.ready);
-      }
-      PDC_OBS_HIST("pdc.server.shard_batch",
-                   static_cast<std::uint64_t>(batch.size()));
-      if (shard.inflight != nullptr && !batch.empty()) {
-        shard.inflight->sub(static_cast<std::int64_t>(batch.size()));
-      }
-      for (const std::uint64_t id : batch) {
-        Conn* conn = nullptr;
-        {
-          std::scoped_lock lock(shard.mutex);
-          auto it = shard.conns.find(id);
-          // unordered_map references are stable across other keys'
-          // inserts/erases; this id is only erased below, by this task.
-          if (it != shard.conns.end()) conn = &it->second;
-        }
-        if (conn == nullptr) continue;
-        if (process(*conn)) {
-          conn->socket.rearm();
-        } else {
-          conn->socket.unwatch();
-          conn->socket.close();
-          {
-            std::scoped_lock lock(shard.mutex);
-            shard.conns.erase(id);
-          }
-          PDC_OBS_GAUGE_SUB("pdc.server.conns", 1);
-        }
-      }
-      {
-        std::scoped_lock lock(shard.mutex);
-        if (shard.ready.empty()) {
-          shard.scheduled.store(false, std::memory_order_release);
-          return;
-        }
-      }
-    }
-  }
-
-  /// Drains and serves one connection; false when it should be closed.
-  bool process(Conn& conn) {
-    const bool closed = conn.socket.try_recv_into(conn.rx.bytes).closed;
-    // Peer FIN: frames ahead of it are answered; a trailing partial frame
-    // can never complete.
-    return server.serve_buffered(conn) && !closed;
-  }
-
-  /// stop() path: called after the loop thread joined. Aborts every live
-  /// connection, then quiesces the pool so no drain task outlives us.
-  /// Every watch is removed first — the client half of a connection can
-  /// outlive this engine, and a late delivery must not signal a destroyed
-  /// ReadySet.
-  void shutdown() {
-    server.listener_->unwatch();
-    for (auto& shard : shards) {
-      std::scoped_lock lock(shard->mutex);
-      for (auto& [id, conn] : shard->conns) {
+  /// One turn on a connection: reads and answers while bytes keep
+  /// arriving, up to kMaxPasses passes, then re-arms or closes it.
+  void serve(std::uint64_t tag) {
+    Conn& conn = *reinterpret_cast<Conn*>(tag);
+    for (int pass = 0; pass < kMaxPasses; ++pass) {
+      const auto drained = conn.socket.try_recv_into(conn.rx.bytes);
+      if (pass > 0 && drained.bytes == 0 && !drained.closed) break;
+      // Peer FIN: frames ahead of it are answered; a trailing partial
+      // frame can never complete.
+      if (!server.serve_buffered(conn) || drained.closed) {
         conn.socket.unwatch();
-        conn.socket.abort();
+        conn.socket.close();
+        {
+          std::scoped_lock lock(conns_mutex);
+          conns.erase(tag);
+        }
+        PDC_OBS_GAUGE_SUB("pdc.server.conns", 1);
+        return;
       }
     }
-    pool.wait_idle();
-    for (auto& shard : shards) {
-      std::scoped_lock lock(shard->mutex);
-      PDC_OBS_GAUGE_SUB("pdc.server.conns",
-                        static_cast<std::int64_t>(shard->conns.size()));
-      shard->conns.clear();
+    conn.socket.rearm();
+  }
+
+  /// stop() path, after Server::stopping_ is set: wakes the leader, aborts
+  /// every live connection, then joins the workers, each of which
+  /// finishes the tags it holds. Every watch is removed first — the client
+  /// half of a connection can outlive this engine, and a late delivery
+  /// must not signal a destroyed ReadySet.
+  void stop() {
+    ready_set.wake();
+    server.listener_->unwatch();
+    {
+      std::scoped_lock lock(conns_mutex);
+      for (auto& [tag, conn] : conns) {
+        conn->socket.unwatch();
+        conn->socket.abort();
+      }
     }
+    for (auto& thread : threads) thread.join();
+    PDC_OBS_GAUGE_SUB("pdc.server.conns", static_cast<std::int64_t>(conns.size()));
+    conns.clear();
   }
 
   Server& server;
   ReadySet ready_set;
-  parallel::WorkStealingPool pool;
-  std::size_t shard_count;
-  std::vector<std::unique_ptr<Shard>> shards;
-  std::uint64_t next_id = 1;  // acceptor thread only; 0 is the listener
-  std::atomic<bool> stopping{false};
+  std::mutex leader;  // held by the one worker waiting in poll()
+  std::mutex conns_mutex;
+  // Live connections by tag; only accept, close and stop() touch it.
+  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns;
+  std::vector<std::thread> threads;
 };
 
 // --------------------------------------------------------------------- Server
@@ -224,7 +161,9 @@ bool Server::serve_buffered(Conn& conn) {
     // TelemetryServer must not count itself into the scrape it renders,
     // and the reference benchmark's frame ledger balances this delta
     // against the requests its client sent.
-    if (engine_) PDC_OBS_COUNT("pdc.server.frames");
+    if (config_.model == ThreadingModel::kEventDriven) {
+      PDC_OBS_COUNT("pdc.server.frames");
+    }
     if (!serve_frame(conn.socket, request, trace)) return false;
   }
   conn.rx.compact();
@@ -277,14 +216,9 @@ Server::Server(Network& net, int host, std::uint16_t port, Handler handler,
   } else if (config_.model == ThreadingModel::kEventDriven) {
     PDC_CHECK(config_.workers >= 1);
     engine_ = std::make_unique<EventEngine>(*this);
+    return;  // the engine's workers accept too
   }
-  acceptor_ = std::thread([this] {
-    if (engine_) {
-      engine_->loop();
-    } else {
-      accept_loop();
-    }
-  });
+  acceptor_ = std::thread([this] { accept_loop(); });
 }
 
 Server::~Server() { stop(); }
@@ -305,10 +239,7 @@ void Server::stop() {
   listener_->shutdown();
 
   if (engine_) {
-    engine_->stopping.store(true, std::memory_order_release);
-    engine_->ready_set.wake();
-    if (acceptor_.joinable()) acceptor_.join();
-    engine_->shutdown();
+    engine_->stop();
     return;
   }
 
@@ -417,6 +348,9 @@ void Server::drain_buffered(StreamSocket socket) {
 Status Client::connect(const Address& server) {
   auto socket = net_.connect(host_, server);
   if (!socket.is_ok()) return socket.status();
+  // Hang up the previous connection: its server would keep serving it,
+  // and a worker-pool server stays parked on it.
+  close();
   socket_ = std::move(socket).value();
   rx_ = {};
   return Status::ok();

@@ -9,11 +9,11 @@
 //  - kWorkerPool: a fixed pool pulls whole connections from a queue — one
 //    blocked connection holds one worker hostage, so concurrency is capped
 //    at the pool size;
-//  - kEventDriven: a readiness loop over the simulated fabric multiplexes
-//    every connection onto a lock-free WorkStealingPool. Connections are
-//    sharded by id; each ready batch is drained by a task on the shard,
-//    and handler invocations run inline in the task. This is the model
-//    that holds 10^5..10^6 concurrent connections (see docs/serving.md).
+//  - kEventDriven: Leader/Followers over one ReadySet. The workers take
+//    turns waiting for readiness; the one that takes a connection's tag
+//    serves it inline, re-arms it, and is its only owner meanwhile. This is
+//    the model that holds 10^5..10^6 concurrent connections (see
+//    docs/serving.md).
 //
 // The models differ only in who waits for bytes. Each appends what the
 // socket holds to the connection's RxBuffer (the event engine and the
@@ -64,13 +64,12 @@ using RawHandler = std::function<bool(BytesView request, StreamSocket& socket)>;
 enum class ThreadingModel {
   kThreadPerConnection,  // classic: simple, unbounded threads
   kWorkerPool,           // fixed pool pulls connections from a queue
-  kEventDriven,          // readiness loop + sharded lock-free task pool
+  kEventDriven,          // workers take turns polling one ReadySet
 };
 
 struct ServerConfig {
   ThreadingModel model = ThreadingModel::kThreadPerConnection;
-  std::size_t workers = 4;    // pool threads (worker-pool and event-driven)
-  std::size_t shards = 0;     // event-driven connection shards (0 = 2x workers)
+  std::size_t workers = 4;    // serving threads (worker-pool and event-driven)
   RawHandler raw_handler;     // optional; see RawHandler
   ViewHandler view_handler;   // optional; see ViewHandler
 };
@@ -107,7 +106,7 @@ class Server {
   void stop();
 
  private:
-  struct EventEngine;  // defined in server.cpp (owns the task pool)
+  struct EventEngine;  // defined in server.cpp (owns its worker threads)
   friend struct EventEngine;
 
   /// One connection's receive state, whatever the threading model.
@@ -143,7 +142,7 @@ class Server {
   concurrency::BoundedQueue<StreamSocket> pending_;  // worker-pool model
   std::vector<std::thread> workers_;
   std::unique_ptr<EventEngine> engine_;  // event-driven model
-  std::thread acceptor_;
+  std::thread acceptor_;                 // the other two models
   std::mutex conn_mutex_;
   std::vector<std::thread> conn_threads_;  // live connection threads
   std::vector<std::thread> finished_;      // retired; joined at next accept
@@ -155,7 +154,8 @@ class Client {
  public:
   Client(Network& net, int host) : net_(net), host_(host) {}
 
-  /// Opens the connection (one per client), with an empty receive buffer.
+  /// Opens the connection (one per client), with an empty receive buffer;
+  /// a connection already open is closed first.
   support::Status connect(const Address& server);
 
   /// One round trip; kClosed if the server went away.

@@ -3,6 +3,7 @@
 // threading models, RPC dispatch.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <fstream>
 #include <future>
@@ -542,6 +543,36 @@ TEST_P(ReadySetAtDelay, RearmResignalsWhenDataIsStillPending) {
   server.unwatch();
 }
 
+// A bounded poll takes only the oldest tags, in arrival order, and leaves
+// the rest queued for the next poll; an unbounded one takes them all.
+TEST_P(ReadySetAtDelay, BoundedPollTakesTheOldestAndLeavesTheRest) {
+  Network net(2, net_at(GetParam()));
+  auto listener = net.listen(0, 80);
+  ReadySet ready;
+  std::vector<StreamSocket> clients;
+  std::vector<StreamSocket> servers;
+  for (std::uint64_t tag = 1; tag <= 3; ++tag) {
+    auto client = net.connect(1, Address{0, 80});
+    ASSERT_TRUE(client.is_ok());
+    clients.push_back(std::move(client).value());
+    servers.push_back(std::move(listener->accept()).value());
+    servers.back().watch(&ready, tag);
+  }
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    ASSERT_TRUE(clients[i].send(to_bytes("x")).is_ok());
+    while (ready.size() < i + 1) std::this_thread::yield();
+  }
+  std::vector<std::uint64_t> tags;
+  EXPECT_EQ(ready.poll(tags, 1000ms, 2), 2u);
+  EXPECT_EQ(tags, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(ready.size(), 1u);
+  ready.push(4);
+  EXPECT_EQ(ready.poll(tags, 1000ms), 2u);
+  EXPECT_EQ(tags, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+  EXPECT_EQ(ready.size(), 0u);
+  for (auto& server : servers) server.unwatch();
+}
+
 INSTANTIATE_TEST_SUITE_P(Delays, ReadySetAtDelay, kBothDelays,
                          [](const auto& info) { return delay_name(info.param); });
 
@@ -903,6 +934,139 @@ TEST(Server, WorkerPoolStopDrainsQueuedConnections) {
   blocker.join();
   for (auto& t : waiters) t.join();
   EXPECT_EQ(ok.load(), 4);
+}
+
+// connect() on a connected Client hangs up the old connection. Otherwise
+// the only worker of a worker-pool server stays parked on it, and the new
+// connection waits in the accept queue until stop().
+TEST(Server, ClientReconnectClosesThePreviousConnection) {
+  Network net(2, fast_net());
+  ServerConfig config;
+  config.model = ThreadingModel::kWorkerPool;
+  config.workers = 1;
+  Server server(net, 0, 80, [](const Bytes& b) { return b; }, config);
+  Client client(net, 1);
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  ASSERT_EQ(client.call_text("first").value(), "first");
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  auto second = std::async(std::launch::async,
+                           [&] { return client.call_text("second"); });
+  const bool answered = second.wait_for(2s) == std::future_status::ready;
+  server.stop();  // answers a call still queued, so get() cannot hang
+  EXPECT_TRUE(answered) << "second call not answered within 2 s";
+  const auto reply = second.get();
+  ASSERT_TRUE(reply.is_ok());
+  EXPECT_EQ(reply.value(), "second");
+}
+
+// The thread that takes a connection's tag owns it until it re-arms, so no
+// two workers ever serve one connection at once, and its pipelined frames
+// are answered in order.
+TEST(Server, EventEngineServesEachConnectionOnOneThreadInOrder) {
+  constexpr int kConns = 8;
+  constexpr int kFrames = 500;
+  for (const double latency_ms : {0.0, 0.01}) {
+    Network net(2, net_at(latency_ms));
+    std::array<std::atomic<int>, kConns> inside{};
+    std::atomic<bool> overlapped{false};
+    ServerConfig config;
+    config.model = ThreadingModel::kEventDriven;
+    config.workers = 4;
+    config.view_handler = [&](BytesView request) {
+      auto& in = inside[static_cast<std::size_t>(request.data[0]) % kConns];
+      if (in.fetch_add(1) != 0) overlapped = true;
+      std::this_thread::yield();
+      in.fetch_sub(1);
+      return request.to_owned();
+    };
+    Server server(net, 0, 80, nullptr, config);
+
+    std::vector<std::thread> clients;
+    std::atomic<int> in_order{0};
+    for (int c = 0; c < kConns; ++c) {
+      clients.emplace_back([&, c] {
+        auto connected = net.connect(1, server.address());
+        ASSERT_TRUE(connected.is_ok());
+        StreamSocket socket = std::move(connected).value();
+        auto frame = [c](int i) {
+          Bytes payload = to_bytes("?" + std::to_string(i));
+          payload[0] = static_cast<std::byte>(c);
+          return payload;
+        };
+        // Ten frames per send, so readiness arrives in bursts.
+        for (int i = 0; i < kFrames; i += 10) {
+          Bytes burst;
+          for (int k = i; k < i + 10; ++k) {
+            MessageCodec::encode_message(frame(k), burst);
+          }
+          ASSERT_TRUE(socket.send(burst).is_ok());
+        }
+        RxBuffer rx;
+        int matched = 0;
+        for (int i = 0; i < kFrames; ++i) {
+          auto reply = MessageCodec::recv_message(socket, rx);
+          ASSERT_TRUE(reply.is_ok());
+          if (reply.value() == frame(i)) ++matched;
+        }
+        if (matched == kFrames) ++in_order;
+        socket.close();
+      });
+    }
+    for (auto& t : clients) t.join();
+    server.stop();
+    EXPECT_FALSE(overlapped.load()) << "latency " << latency_ms;
+    EXPECT_EQ(in_order.load(), kConns) << "latency " << latency_ms;
+    EXPECT_EQ(server.requests_served(),
+              static_cast<std::uint64_t>(kConns * kFrames));
+  }
+}
+
+// One turn on a connection is bounded: a connection whose client never
+// stops sending, and never reads, does not keep a one-worker engine from
+// another connection's request.
+TEST(Server, EventEngineFloodDoesNotStarveAnotherConnection) {
+  Network net(3, net_at(0.0));
+  StreamSocket flooded;  // the flooding client's end
+  std::atomic<bool> flooding{true};
+  const auto deadline = std::chrono::steady_clock::now() + 3s;
+  Bytes frame;
+  MessageCodec::encode_message(to_bytes("f"), frame);
+  ServerConfig config;
+  config.model = ThreadingModel::kEventDriven;
+  config.workers = 1;
+  // The flood sustains itself for up to 3 s: each flood frame the server
+  // takes makes the client send another, so every pass over the
+  // connection finds new bytes, however the threads are scheduled. Flood
+  // frames get no reply, so nothing piles up unread.
+  config.raw_handler = [&](BytesView request, StreamSocket&) {
+    if (to_string(request.to_owned()) != "f") return false;
+    if (flooding.load() && std::chrono::steady_clock::now() < deadline) {
+      (void)flooded.send(frame);
+    }
+    return true;
+  };
+  Server server(net, 0, 80, [](const Bytes& b) { return b; }, config);
+
+  auto connected = net.connect(1, server.address());
+  ASSERT_TRUE(connected.is_ok());
+  flooded = std::move(connected).value();
+  Bytes burst;
+  for (int k = 0; k < 64; ++k) burst.insert(burst.end(), frame.begin(), frame.end());
+  ASSERT_TRUE(flooded.send(burst).is_ok());
+
+  Client client(net, 2);
+  ASSERT_TRUE(client.connect(server.address()).is_ok());
+  auto call = std::async(std::launch::async,
+                         [&] { return client.call_text("ping"); });
+  const bool answered = call.wait_for(1s) == std::future_status::ready;
+  flooding = false;
+  EXPECT_TRUE(answered) << "call starved behind the flood";
+  const auto reply = call.get();
+  ASSERT_TRUE(reply.is_ok());
+  EXPECT_EQ(reply.value(), "ping");
+  client.close();
+  flooded.close();
+  server.stop();
 }
 
 /// The process's mapped address space, from /proc/self/status (0 if absent).

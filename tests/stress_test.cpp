@@ -298,10 +298,11 @@ TEST(StressPool, PostsRacingShutdownAreOrderly) {
 
 // The fault-injected load test at a scale worth pointing TSan at: tens of
 // thousands of open-loop requests over thousands of connections exercise
-// every cross-thread edge at once — dispatcher -> ReadySet wakeups, shard
-// single-flight scheduling, batch steals re-homing tasks, and the
-// generator's driver threads (build with -DPDCKIT_SANITIZE=thread and
-// -DPDCKIT_STRESS=ON to run it under the race detector).
+// every cross-thread edge at once — dispatcher -> ReadySet wakeups, the
+// event engine's workers taking turns to lead the poll and handing each
+// connection to its next owner through rearm(), and the generator's
+// driver threads. CI's tsan job runs it on every push (the binary builds
+// in every preset; -DPDCKIT_STRESS=ON registers it with ctest).
 TEST(StressServer, EventDrivenLoadWithFaultsConservesRequests) {
   net::NetConfig net_config;
   net_config.latency_ms = 0.01;
